@@ -230,21 +230,11 @@ fn bench_evaluate() -> String {
     let t_first = t0.elapsed().as_secs_f64();
     assert_eq!(fmm.plan_builds(), 1);
 
-    // The same configuration with the fused level sweeps disabled —
-    // isolates the cache-residency win of fusing P2O→T1 and T3→eval.
-    // The two variants are round-robined so slow machine-load drift
-    // cancels out of the ratio instead of biasing whichever ran second.
-    let unfused = Fmm::new(FmmConfig::order(5).depth(4).fused(false)).unwrap();
-    unfused.evaluate(&pts, &q).unwrap();
     let mut t_repeat = f64::INFINITY;
-    let mut t_unfused = f64::INFINITY;
     for _ in 0..5 {
         let t0 = std::time::Instant::now();
         fmm.evaluate(&pts, &q).unwrap();
         t_repeat = t_repeat.min(t0.elapsed().as_secs_f64());
-        let t0 = std::time::Instant::now();
-        unfused.evaluate(&pts, &q).unwrap();
-        t_unfused = t_unfused.min(t0.elapsed().as_secs_f64());
     }
     assert_eq!(
         fmm.plan_builds(),
@@ -253,13 +243,11 @@ fn bench_evaluate() -> String {
     );
 
     println!(
-        "evaluate n={} depth={}  first {:.1} ms (plan build)  repeat {:.1} ms (cache hit)  unfused repeat {:.1} ms ({:.2}x from fusion)",
+        "evaluate n={} depth={}  first {:.1} ms (plan build)  repeat {:.1} ms (cache hit)",
         n,
         first.depth,
         t_first * 1e3,
         t_repeat * 1e3,
-        t_unfused * 1e3,
-        t_unfused / t_repeat
     );
 
     let mut o = Obj::default();
@@ -267,11 +255,6 @@ fn bench_evaluate() -> String {
         .field("depth", first.depth)
         .field("first_seconds", format_args!("{:.6}", t_first))
         .field("repeat_seconds", format_args!("{:.6}", t_repeat))
-        .field("repeat_unfused_seconds", format_args!("{:.6}", t_unfused))
-        .field(
-            "fused_repeat_speedup",
-            format_args!("{:.3}", t_unfused / t_repeat),
-        )
         .field("plan_builds", fmm.plan_builds());
     o.finish()
 }

@@ -247,10 +247,6 @@ pub struct FmmConfig {
     /// choice is recorded on the cached [`crate::TraversalPlan`], so every
     /// backend (including SPMD workers) runs the same kernel.
     pub kernel: Option<Kernel>,
-    /// Fuse the P2O→leaf-T1 upward and leaf-T3→inner-evaluate downward
-    /// sweeps so leaf multipole panels stay cache-resident (bitwise
-    /// identical to the unfused phases; on by default).
-    pub fused: bool,
     /// SPMD load-balance policy (ignored by the shared-memory backends,
     /// whose work stealing makes the layout irrelevant).
     pub balance: Balance,
@@ -289,7 +285,6 @@ impl FmmConfig {
             softening: 0.0,
             precision: Precision::F64,
             kernel: None,
-            fused: true,
             balance: Balance::Uniform,
         }
     }
@@ -307,6 +302,13 @@ impl FmmConfig {
             Executor::Rayon if !self.parallel => Executor::Serial,
             e => e,
         }
+    }
+
+    /// Whether the shared-memory sweeps run on rayon: exactly when the
+    /// effective executor is [`Executor::Rayon`]. [`Executor::Serial`]
+    /// always means sequential, whatever `parallel` says.
+    pub fn parallel_sweeps(&self) -> bool {
+        matches!(self.effective_executor(), Executor::Rayon)
     }
 
     /// The SPMD load-balance policy that will actually run: the
@@ -378,12 +380,6 @@ impl FmmConfig {
     /// Builder-style: force a specific microkernel family.
     pub fn kernel(mut self, k: Kernel) -> Self {
         self.kernel = Some(k);
-        self
-    }
-
-    /// Builder-style: enable/disable the fused level sweeps.
-    pub fn fused(mut self, on: bool) -> Self {
-        self.fused = on;
         self
     }
 
@@ -531,6 +527,30 @@ mod tests {
             .precision(Precision::Mixed)
             .validate()
             .unwrap();
+    }
+
+    #[test]
+    fn serial_executor_always_runs_sequential_sweeps() {
+        for exec in [Executor::Serial, Executor::Rayon] {
+            for sequential in [false, true] {
+                let mut cfg = FmmConfig::order(5).executor(exec);
+                if sequential {
+                    cfg = cfg.sequential();
+                }
+                let want = exec == Executor::Rayon && !sequential;
+                assert_eq!(
+                    cfg.parallel_sweeps(),
+                    want,
+                    "{exec:?}, sequential {sequential}"
+                );
+                let effective = if want {
+                    Executor::Rayon
+                } else {
+                    Executor::Serial
+                };
+                assert_eq!(cfg.effective_executor(), effective);
+            }
+        }
     }
 
     #[test]

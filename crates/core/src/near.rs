@@ -422,6 +422,25 @@ fn add_stats(a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
     }
 }
 
+/// Sum `work(b)` over boxes `0..n`, on rayon when `parallel`. Each box
+/// owns the outputs it writes, so only the counters are combined here.
+fn over_boxes(
+    parallel: bool,
+    n: usize,
+    work: impl Fn(usize) -> NearFieldStats + Sync,
+) -> NearFieldStats {
+    // det: integer-counter reduction; the float outputs are per box.
+    if parallel {
+        let work = &work;
+        (0..n)
+            .into_par_iter()
+            .map(work)
+            .reduce(NearFieldStats::default, add_stats)
+    } else {
+        (0..n).map(work).fold(NearFieldStats::default(), add_stats)
+    }
+}
+
 /// Symmetric near field with Newton's-third-law pair savings, parallelized
 /// via the 8-color block schedule. Adds into `out` (sorted particle order)
 /// and reports the same third-law-halved pair counts as the sequential
@@ -563,134 +582,37 @@ pub fn near_field_travelling_with(
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
-    assert_eq!(out.len(), bp.len());
-    let eps2 = eps * eps;
-    let level = bp.level;
-    let n_boxes = bp.binning.starts.len() - 1;
-    let path = fmm_machine::TravelPath::new(sep.d());
-    let mut acc = vec![0.0; bp.len()];
-
-    // Self interactions, symmetric within each box.
-    let mut self_slices = per_box_slices(bp, out);
-    let self_work = |(b, o): (usize, &mut &mut [f64])| -> NearFieldStats {
-        let t_range = bp.range(b);
-        if t_range.is_empty() {
-            return NearFieldStats::default();
-        }
-        NearFieldStats {
-            pair_interactions: self_box_potential(bp, t_range, eps2, o),
-            box_pairs: 1,
-            flops: 0,
-        }
-    };
-    // det: integer-counter reduction over disjoint per-box slices.
-    let mut total = if parallel {
-        self_slices
-            .par_iter_mut()
-            .enumerate()
-            .map(self_work)
-            .reduce(NearFieldStats::default, add_stats)
-    } else {
-        self_slices
-            .iter_mut()
-            .enumerate()
-            .map(self_work)
-            .fold(NearFieldStats::default(), add_stats)
-    };
-
-    // The travelling sweep: one ordered pass per unit step. The boxes of a
-    // step are independent — box t writes out[t] and acc[t + cum], both
-    // bijections of t — so they may run in parallel without changing bits.
-    let out_shared = SharedOut(out.as_mut_ptr());
-    let out_shared = &out_shared;
-    let acc_shared = SharedOut(acc.as_mut_ptr());
-    let acc_shared = &acc_shared;
-    let boxes: Vec<usize> = (0..n_boxes).collect();
-    for step in &path.steps {
-        let cum = step.cum;
-        let step_work = |&b: &usize| -> NearFieldStats {
-            let t = BoxCoord::from_index(level, b);
-            let t_range = bp.range(b);
-            if t_range.is_empty() {
-                return NearFieldStats::default();
-            }
-            let Some(s) = t.offset(cum) else {
-                return NearFieldStats::default();
-            };
-            let s_range = bp.range(s.index());
-            if s_range.is_empty() {
-                return NearFieldStats::default();
-            }
-            // SAFETY: t ↦ t_range and t ↦ s_range are injective over the
-            // boxes of one step, and `out`/`acc` are distinct arrays.
-            let t_out = unsafe { out_shared.slice(t_range.clone()) };
-            // SAFETY: same disjointness argument as `t_out`, on `acc`.
-            let s_acc = unsafe { acc_shared.slice(s_range.clone()) };
-            let xs = &bp.x[s_range.clone()];
-            let ys = &bp.y[s_range.clone()];
-            let zs = &bp.z[s_range.clone()];
-            let qs = &bp.q[s_range.clone()];
-            let mut pairs = 0u64;
-            for (i, ti) in t_range.clone().enumerate() {
-                t_out[i] += pair_exchange_with(
-                    kernel, bp.x[ti], bp.y[ti], bp.z[ti], bp.q[ti], eps2, xs, ys, zs, qs, s_acc,
-                );
-                pairs += s_range.len() as u64;
-            }
-            NearFieldStats {
-                pair_interactions: pairs,
-                box_pairs: 1,
-                flops: 0,
-            }
-        };
-        // det: integer-counter reduction; each box owns its accumulators.
-        let st = if parallel {
-            boxes
-                .par_iter()
-                .map(step_work)
-                .reduce(NearFieldStats::default, add_stats)
-        } else {
-            boxes
-                .iter()
-                .map(step_work)
-                .fold(NearFieldStats::default(), add_stats)
-        };
-        total = add_stats(total, st);
-    }
-
-    // Return shifts: every accumulator goes home and is added once.
-    for (o, a) in out.iter_mut().zip(&acc) {
-        *o += *a;
-    }
-    total.flops = total.pair_interactions * PAIR_FLOPS;
-    total
+    near_field_travelling_multi(
+        kernel,
+        std::slice::from_ref(bp),
+        sep,
+        parallel,
+        eps,
+        &mut [out],
+    )
 }
 
-/// Multi-instance travelling near field: `R` same-depth particle sets
-/// sweep the canonical path together. The geometry — the path itself,
-/// each step's `t ↦ t + cum` box map and its domain clipping — depends
-/// only on the hierarchy depth and separation, so the batched form
-/// computes it once per (step, box) and loops instances innermost,
-/// instead of `R` full sweeps re-deriving it. For small requests the
-/// sweep is geometry-bound (tens of steps × every box, a few particles
-/// each), so this is where batching a serving workload actually pays.
+/// The travelling sweep over `R` same-depth particle sets at once. The
+/// geometry — the path, each step's `t ↦ t + cum` box map and its domain
+/// clipping — depends only on the depth and separation, so it is derived
+/// once per (step, box) and every instance is swept inside it. For small
+/// requests the sweep is geometry-bound (tens of steps × every box, a few
+/// particles each), which is where batching a serving workload pays.
 ///
-/// Per instance the arithmetic replays [`near_field_travelling_with`]
-/// exactly: same self pass in box order, same ordered steps, same box
-/// order within a step, same gather/scatter into a per-instance
-/// accumulator, same return shift — so each instance's output is bitwise
-/// identical to its solo sweep (sequential or parallel; the solo forms
-/// are themselves bitwise equal). Runs sequentially: the instance loop
-/// already aggregates the work the solo form would spread over threads.
+/// Per instance the arithmetic is the solo sweep's: the same self pass,
+/// the same ordered steps, each element of `out`/`acc` written by exactly
+/// one box per step, the same return shift. So each instance's output is
+/// bitwise identical to its solo sweep, sequential or parallel over boxes.
 ///
 /// `outs[i]` is instance `i`'s potentials in **sorted** particle order;
-/// counters are summed over the batch.
-pub fn near_field_travelling_batch_with(
+/// counters are summed over the instances.
+pub(crate) fn near_field_travelling_multi(
     kernel: Kernel,
     bps: &[BinnedParticles],
     sep: Separation,
+    parallel: bool,
     eps: f64,
-    outs: &mut [Vec<f64>],
+    outs: &mut [&mut [f64]],
 ) -> NearFieldStats {
     assert_eq!(bps.len(), outs.len());
     let Some(first) = bps.first() else {
@@ -700,64 +622,72 @@ pub fn near_field_travelling_batch_with(
     let level = first.level;
     let n_boxes = first.binning.starts.len() - 1;
     for (bp, out) in bps.iter().zip(outs.iter()) {
-        assert_eq!(bp.level, level, "batched near field needs one depth");
+        assert_eq!(bp.level, level, "one travelling sweep needs one depth");
         assert_eq!(out.len(), bp.len());
     }
     let path = fmm_machine::TravelPath::new(sep.d());
     let mut accs: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
-    let mut total = NearFieldStats::default();
+    let out_shared: Vec<SharedOut> = outs.iter_mut().map(|o| SharedOut(o.as_mut_ptr())).collect();
+    let acc_shared: Vec<SharedOut> = accs.iter_mut().map(|a| SharedOut(a.as_mut_ptr())).collect();
+    let (out_shared, acc_shared) = (&out_shared, &acc_shared);
 
-    // Self interactions: box-outer, instance-inner (per instance this is
-    // the solo sweep's ascending box order).
-    for b in 0..n_boxes {
-        for (bp, out) in bps.iter().zip(outs.iter_mut()) {
+    // Self interactions, symmetric within each box.
+    let mut total = over_boxes(parallel, n_boxes, |b| {
+        let mut st = NearFieldStats::default();
+        for (bp, out) in bps.iter().zip(out_shared) {
             let t_range = bp.range(b);
             if t_range.is_empty() {
                 continue;
             }
-            total.pair_interactions +=
-                self_box_potential(bp, t_range.clone(), eps2, &mut out[t_range]);
-            total.box_pairs += 1;
+            // SAFETY: boxes own disjoint particle ranges of each instance.
+            let o = unsafe { out.slice(t_range.clone()) };
+            st.pair_interactions += self_box_potential(bp, t_range, eps2, o);
+            st.box_pairs += 1;
         }
-    }
+        st
+    });
 
-    // The travelling sweep over the shared path: each step's source map is
-    // resolved once per box and reused by every instance.
-    let coords: Vec<BoxCoord> = (0..n_boxes)
-        .map(|b| BoxCoord::from_index(level, b))
-        .collect();
+    // The travelling sweep: one ordered pass per unit step. The boxes of a
+    // step are independent — box t writes out[t] and acc[t + cum], both
+    // bijections of t — so they may run in parallel without changing bits.
     for step in &path.steps {
         let cum = step.cum;
-        for (b, t) in coords.iter().enumerate() {
-            let Some(s) = t.offset(cum) else { continue };
+        let st = over_boxes(parallel, n_boxes, |b| {
+            let mut st = NearFieldStats::default();
+            let Some(s) = BoxCoord::from_index(level, b).offset(cum) else {
+                return st;
+            };
             let s_idx = s.index();
-            for ((bp, out), acc) in bps.iter().zip(outs.iter_mut()).zip(accs.iter_mut()) {
+            for ((bp, out), acc) in bps.iter().zip(out_shared).zip(acc_shared) {
                 let t_range = bp.range(b);
-                if t_range.is_empty() {
-                    continue;
-                }
                 let s_range = bp.range(s_idx);
-                if s_range.is_empty() {
+                if t_range.is_empty() || s_range.is_empty() {
                     continue;
                 }
-                let t_out = &mut out[t_range.clone()];
-                let s_acc = &mut acc[s_range.clone()];
+                // SAFETY: t ↦ t_range and t ↦ s_range are injective over
+                // the boxes of one step, and `out`/`acc` are distinct
+                // arrays.
+                let t_out = unsafe { out.slice(t_range.clone()) };
+                // SAFETY: same disjointness argument as `t_out`, on `acc`.
+                let s_acc = unsafe { acc.slice(s_range.clone()) };
                 let xs = &bp.x[s_range.clone()];
                 let ys = &bp.y[s_range.clone()];
                 let zs = &bp.z[s_range.clone()];
                 let qs = &bp.q[s_range.clone()];
-                for (i, ti) in t_range.clone().enumerate() {
+                for (i, ti) in t_range.enumerate() {
                     t_out[i] += pair_exchange_with(
                         kernel, bp.x[ti], bp.y[ti], bp.z[ti], bp.q[ti], eps2, xs, ys, zs, qs, s_acc,
                     );
-                    total.pair_interactions += s_range.len() as u64;
+                    st.pair_interactions += s_range.len() as u64;
                 }
-                total.box_pairs += 1;
+                st.box_pairs += 1;
             }
-        }
+            st
+        });
+        total = add_stats(total, st);
     }
 
-    // Return shifts, per instance.
+    // Return shifts: every accumulator goes home and is added once.
     for (out, acc) in outs.iter_mut().zip(&accs) {
         for (o, a) in out.iter_mut().zip(acc) {
             *o += *a;

@@ -40,6 +40,53 @@ proptest! {
         }
     }
 
+    /// Rows of `C += A·B` are independent: any gathered subset of an
+    /// m-row panel yields exactly the bits of the corresponding rows of
+    /// the full panel, for every family at the translation sizes K. The
+    /// level sweep relies on this twice — stacking R instances' rows into
+    /// one panel, and an SPMD worker multiplying only its owned rows.
+    #[test]
+    fn gemm_row_subsets_match_full_panel_bitwise(
+        m in 1usize..40,
+        ki in 0usize..3,
+        keep in proptest::collection::vec(proptest::bool::ANY, 40),
+        zero in proptest::collection::vec(proptest::bool::ANY, 40),
+        seed in 0u64..1000,
+    ) {
+        let k = [12usize, 72, 120][ki];
+        let pseudo = |s: u64, len: usize| -> Vec<f64> {
+            let mut state = (seed ^ s).wrapping_mul(6364136223846793005).wrapping_add(1);
+            (0..len).map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+            }).collect()
+        };
+        let mut a = pseudo(7, m * k);
+        // Out-of-domain sources enter a panel as zero rows.
+        for (row, _) in zero.iter().enumerate().take(m).filter(|(_, &z)| z) {
+            a[row * k..(row + 1) * k].iter_mut().for_each(|x| *x = 0.0);
+        }
+        let b = pseudo(8, k * k);
+        let c0 = pseudo(9, m * k);
+        let rows: Vec<usize> = (0..m).filter(|&i| keep[i]).collect();
+        let n = rows.len();
+        let gather = |src: &[f64]| -> Vec<f64> {
+            rows.iter().flat_map(|&i| src[i * k..(i + 1) * k].iter().copied()).collect()
+        };
+        for kernel in Kernel::available() {
+            let mut full = c0.clone();
+            gemm_acc_with(kernel, m, k, k, &a, &b, &mut full);
+            let mut sub = gather(&c0);
+            gemm_acc_with(kernel, n, k, k, &gather(&a), &b, &mut sub);
+            for (j, &i) in rows.iter().enumerate() {
+                for c in 0..k {
+                    prop_assert_eq!(sub[j * k + c].to_bits(), full[i * k + c].to_bits(),
+                                    "{:?} m={} k={} row {} of {}", kernel, m, k, i, n);
+                }
+            }
+        }
+    }
+
     /// GEMV agrees with the scalar kernel in both accumulate modes.
     #[test]
     fn gemv_matches_scalar(m in 1usize..50, k in 1usize..80, seed in 0u64..1000) {

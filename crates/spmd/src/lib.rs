@@ -357,8 +357,9 @@ pub(crate) fn assemble(
     }
     profile.add_flops(Phase::P2O, p2o_flops);
     profile.add_flops(Phase::Upward, tfl.t1);
-    profile.add_flops(Phase::Interactive, tfl.t2);
-    profile.add_flops(Phase::Downward, tfl.t3);
+    // T2 and T3 run in one timed downward sweep, as in the shared-memory
+    // pipeline, so both are booked where they are timed.
+    profile.add_flops(Phase::Interactive, tfl.t2 + tfl.t3);
     profile.add_flops(Phase::Eval, eval_flops);
     profile.add_flops(Phase::Near, stats.flops);
 

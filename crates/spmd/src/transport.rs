@@ -213,6 +213,7 @@ impl SocketTransport {
             writers,
             writer_joins,
             readers,
+            // det: keyed lookups only (see the field).
             pending: HashMap::new(),
         })
     }
