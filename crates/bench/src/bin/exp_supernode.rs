@@ -34,7 +34,7 @@ fn main() {
 
     println!(
         "\n{:>11} {:>10} {:>14} {:>14} {:>12} {:>7}",
-        "supernodes", "time (s)", "T2 time (s)", "T2 flops", "rms_rel", "digits"
+        "supernodes", "time (s)", "T2+T3 (s)", "T2 flops", "rms_rel", "digits"
     );
     for sup in [false, true] {
         let fmm = Fmm::new(FmmConfig::order(5).depth(4).supernodes(sup)).unwrap();

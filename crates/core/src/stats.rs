@@ -17,10 +17,9 @@ pub enum Phase {
     P2O,
     /// Upward pass (T1).
     Upward,
-    /// Downward pass, interactive field conversions (T2).
+    /// Downward pass: interactive field conversions (T2) and
+    /// parent-to-child inner shifts (T3), which run in one level sweep.
     Interactive,
-    /// Downward pass, parent-to-child inner shifts (T3).
-    Downward,
     /// Leaf-level inner approximation → particle evaluation.
     Eval,
     /// Near-field direct evaluation.
@@ -28,12 +27,11 @@ pub enum Phase {
 }
 
 impl Phase {
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 6] = [
         Phase::Sort,
         Phase::P2O,
         Phase::Upward,
         Phase::Interactive,
-        Phase::Downward,
         Phase::Eval,
         Phase::Near,
     ];
@@ -43,8 +41,7 @@ impl Phase {
             Phase::Sort => "sort",
             Phase::P2O => "p2o",
             Phase::Upward => "upward(T1)",
-            Phase::Interactive => "interactive(T2)",
-            Phase::Downward => "downward(T3)",
+            Phase::Interactive => "downward(T2+T3)",
             Phase::Eval => "eval",
             Phase::Near => "near",
         }
@@ -56,9 +53,8 @@ impl Phase {
             Phase::P2O => 1,
             Phase::Upward => 2,
             Phase::Interactive => 3,
-            Phase::Downward => 4,
-            Phase::Eval => 5,
-            Phase::Near => 6,
+            Phase::Eval => 4,
+            Phase::Near => 5,
         }
     }
 }
@@ -66,8 +62,8 @@ impl Phase {
 /// Timing and flop totals per phase for one evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    times: [Duration; 7],
-    flops: [u64; 7],
+    times: [Duration; 6],
+    flops: [u64; 6],
 }
 
 impl Profile {
@@ -113,9 +109,7 @@ impl Profile {
     /// Hierarchy-traversal time (T1 + T2 + T3) — the paper's "herarchical
     /// part".
     pub fn traversal_time(&self) -> Duration {
-        self.phase_time(Phase::Upward)
-            + self.phase_time(Phase::Interactive)
-            + self.phase_time(Phase::Downward)
+        self.phase_time(Phase::Upward) + self.phase_time(Phase::Interactive)
     }
 
     /// Achieved flop rate of a phase, in Gflop/s.
@@ -162,7 +156,7 @@ impl Profile {
 
     /// Merge another profile into this one.
     pub fn merge(&mut self, other: &Profile) {
-        for i in 0..7 {
+        for i in 0..Phase::ALL.len() {
             self.times[i] += other.times[i];
             self.flops[i] += other.flops[i];
         }
@@ -385,5 +379,13 @@ mod tests {
         for ph in Phase::ALL {
             assert!(t.contains(ph.name()), "missing {}", ph.name());
         }
+    }
+
+    #[test]
+    fn profile_phases_are_the_spmd_phases() {
+        // One row per timed phase: T2 and T3 share the downward sweep, so
+        // the profile has no separate T3 row that could never be timed.
+        let names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(names, SpmdReport::PHASE_NAMES);
     }
 }
