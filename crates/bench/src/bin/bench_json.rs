@@ -18,10 +18,11 @@
 //!    on the Table-4 configuration, plus wall-clock scaling over worker
 //!    counts; written to `BENCH_spmd.json`.
 //!
-//! 5. **Load balance** — per-worker flop and busy-time spreads of the
-//!    uniform block layout vs the cost-weighted partition on clustered
-//!    distributions (Plummer, two-cluster) at p ∈ {2, 8}; written to
-//!    `BENCH_balance.json`. The flop counters are deterministic, so
+//! 5. **Load balance** — per-worker flop and busy-time spreads and the
+//!    median end-to-end `evaluate` wall time of the uniform block layout
+//!    vs the cost-weighted partition on clustered distributions (Plummer,
+//!    two-cluster) at p ∈ {2, 8}, plus a D=5 Plummer forces case at p = 2;
+//!    written to `BENCH_balance.json`. The flop counters are deterministic, so
 //!    `--check` gates them strictly: cost-weighted imbalance must stay
 //!    under 10% at p = 8 where uniform exceeds 3x, with bitwise-identical
 //!    outputs.
@@ -49,6 +50,7 @@ use fmm_core::{Balance, Domain, Executor, Fmm, FmmConfig, Separation, SpmdReport
 use fmm_linalg::{gemm_acc_with, gemm_flops, Kernel};
 use fmm_machine::{communication_budget, Counters, ProgramConfig, VuGrid};
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// Minimal JSON object builder (strings, numbers, raw nested values).
 #[derive(Default)]
@@ -287,16 +289,19 @@ fn bench_spmd(seeded: bool) -> String {
     let k = fmm.k();
     let out = fmm.evaluate(&pts, &q).unwrap();
     let report = out.spmd.expect("spmd report");
-    let budget = communication_budget(&ProgramConfig {
-        depth,
-        k,
-        m: fmm.config().m_trunc,
-        particles_per_box: n as f64 / 8f64.powi(depth as i32),
-        vu_grid: VuGrid::new(report.vu_dims),
-        supernodes: false,
-        sort_miss_fraction: 1.0 - 1.0 / workers as f64,
-        forces_near: false,
-    });
+    let budget = communication_budget(
+        &ProgramConfig {
+            depth,
+            k,
+            m: fmm.config().m_trunc,
+            particles_per_box: n as f64 / 8f64.powi(depth as i32),
+            vu_grid: VuGrid::new(report.vu_dims),
+            supernodes: false,
+            sort_miss_fraction: 1.0 - 1.0 / workers as f64,
+            forces_near: false,
+        },
+        None,
+    );
 
     let mut phases = Vec::new();
     for (pb, m) in budget.phases.iter().zip(&report.phases) {
@@ -374,84 +379,133 @@ struct BalanceCase {
     bitwise_identical: bool,
 }
 
+/// Median of `v` (sorted in place).
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// Per-worker load spread, uniform block layout vs cost-weighted
-/// partition, on the clustered distributions at p ∈ {2, 8} — written to
-/// `BENCH_balance.json`. The flop counters (and the partition cuts) are
-/// pure functions of the seed; busy wall-clock columns are added only
-/// outside `--seeded` so the seeded file diffs byte-for-byte.
+/// partition, on clustered distributions — written to
+/// `BENCH_balance.json`. The gated cases are the order-3, depth-4
+/// potentials runs at p ∈ {2, 8}; an ungated D=5 (order 5, auto depth)
+/// Plummer forces case at p = 2 is where cost weighting pays off in wall
+/// time. The flop counters (and the partition cuts) are pure functions of
+/// the seed; busy and end-to-end wall-clock columns (the median of 5
+/// alternating `evaluate` runs per mode) are added only outside
+/// `--seeded`, so the seeded file diffs byte-for-byte.
 fn bench_balance(seeded: bool) -> (String, Vec<BalanceCase>) {
     fmm_spmd::install();
     let (depth, n) = (4u32, 32_768usize);
+    // (distribution, order, depth, forces, workers, gated)
+    let specs = [
+        (Distribution::Plummer, 3, Some(depth), false, 2usize, true),
+        (Distribution::Plummer, 3, Some(depth), false, 8, true),
+        (Distribution::TwoCluster, 3, Some(depth), false, 2, true),
+        (Distribution::TwoCluster, 3, Some(depth), false, 8, true),
+        (Distribution::Plummer, 5, None, true, 2, false),
+    ];
     let mut cases = Vec::new();
     let mut entries = Vec::new();
-    for dist in [Distribution::Plummer, Distribution::TwoCluster] {
+    for (dist, order, case_depth, forces, p, gated) in specs {
         let pts = dist.positions(n, 99);
         let q = mixed_charges(n, 100);
-        for p in [2usize, 8] {
-            let run = |bal: Balance| {
-                Fmm::new(
-                    FmmConfig::order(3)
-                        .depth(depth)
-                        .executor(Executor::spmd(p))
-                        .balance(bal),
-                )
-                .unwrap()
-                .evaluate(&pts, &q)
-                .unwrap()
-            };
-            let uni = run(Balance::Uniform);
-            let cw = run(Balance::CostWeighted);
-            let bitwise = uni
-                .potentials
-                .iter()
-                .zip(&cw.potentials)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            let side = |rep: &SpmdReport| {
-                let mut o = Obj::default();
-                o.field("flop_min", rep.worker_flops.iter().min().unwrap())
-                    .field("flop_max", rep.worker_flops.iter().max().unwrap())
-                    .field(
-                        "flop_imbalance",
-                        format_args!("{:.4}", rep.flop_imbalance()),
-                    )
-                    .field(
-                        "worker_flops",
-                        json_array(rep.worker_flops.iter().map(|f| f.to_string())),
-                    );
-                if let Some(cuts) = &rep.partition {
-                    o.field(
-                        "partition_cuts",
-                        json_array(cuts.iter().map(|c| c.to_string())),
-                    );
+        let fmm = |bal: Balance| {
+            let mut cfg = FmmConfig::order(order)
+                .executor(Executor::spmd(p))
+                .balance(bal);
+            if let Some(d) = case_depth {
+                cfg = cfg.depth(d);
+            }
+            Fmm::new(cfg).unwrap()
+        };
+        let (fmm_u, fmm_c) = (fmm(Balance::Uniform), fmm(Balance::CostWeighted));
+        let run = |f: &Fmm| {
+            if forces {
+                f.evaluate_forces(&pts, &q).unwrap()
+            } else {
+                f.evaluate(&pts, &q).unwrap()
+            }
+        };
+        let uni = run(&fmm_u);
+        let cw = run(&fmm_c);
+        let bitwise = uni
+            .potentials
+            .iter()
+            .zip(&cw.potentials)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        // End-to-end wall time, modes alternating so host drift hits both.
+        let mut wall = [Vec::new(), Vec::new()];
+        if !seeded {
+            for _ in 0..5 {
+                for (w, f) in wall.iter_mut().zip([&fmm_u, &fmm_c]) {
+                    let t = Instant::now();
+                    std::hint::black_box(run(f));
+                    w.push(t.elapsed().as_secs_f64() * 1e3);
                 }
-                if !seeded {
-                    let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-                    o.field("busy_min_ms", ms(*rep.worker_busy_ns.iter().min().unwrap()))
-                        .field("busy_max_ms", ms(*rep.worker_busy_ns.iter().max().unwrap()))
-                        .field(
-                            "busy_imbalance",
-                            format_args!("{:.4}", rep.busy_imbalance()),
-                        );
-                }
-                o.finish()
-            };
-            let ru = uni.spmd.as_ref().unwrap();
-            let rc = cw.spmd.as_ref().unwrap();
-            println!(
-                "balance {:<12} p={:<2} uniform flop imbalance {:>6.3}  cost-weighted {:>6.3}  bitwise {}",
-                dist.name(),
-                p,
-                ru.flop_imbalance(),
-                rc.flop_imbalance(),
-                bitwise
-            );
+            }
+        }
+        let side = |rep: &SpmdReport, wall: &mut Vec<f64>| {
             let mut o = Obj::default();
-            o.str_field("distribution", dist.name())
-                .field("workers", p)
-                .field("uniform", side(ru))
-                .field("cost_weighted", side(rc))
-                .field("bitwise_identical", bitwise);
-            entries.push(o.finish());
+            o.field("flop_min", rep.worker_flops.iter().min().unwrap())
+                .field("flop_max", rep.worker_flops.iter().max().unwrap())
+                .field(
+                    "flop_imbalance",
+                    format_args!("{:.4}", rep.flop_imbalance()),
+                )
+                .field(
+                    "worker_flops",
+                    json_array(rep.worker_flops.iter().map(|f| f.to_string())),
+                );
+            if let Some(cuts) = &rep.partition {
+                o.field(
+                    "partition_cuts",
+                    json_array(cuts.iter().map(|c| c.to_string())),
+                );
+            }
+            if !seeded {
+                let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
+                o.field("busy_min_ms", ms(*rep.worker_busy_ns.iter().min().unwrap()))
+                    .field("busy_max_ms", ms(*rep.worker_busy_ns.iter().max().unwrap()))
+                    .field(
+                        "busy_imbalance",
+                        format_args!("{:.4}", rep.busy_imbalance()),
+                    )
+                    .field("wall_ms_p50", format_args!("{:.3}", median(wall)));
+            }
+            o.finish()
+        };
+        let ru = uni.spmd.as_ref().unwrap();
+        let rc = cw.spmd.as_ref().unwrap();
+        let [wall_u, wall_c] = &mut wall;
+        let (side_u, side_c) = (side(ru, wall_u), side(rc, wall_c));
+        let wall_note = if seeded {
+            String::new()
+        } else {
+            format!(
+                "  wall p50 {:.1} vs {:.1} ms",
+                median(wall_u),
+                median(wall_c)
+            )
+        };
+        println!(
+            "balance {:<12} order {order} forces {forces:<5} p={p:<2} uniform flop imbalance {:>6.3}  \
+             cost-weighted {:>6.3}  bitwise {bitwise}{wall_note}",
+            dist.name(),
+            ru.flop_imbalance(),
+            rc.flop_imbalance(),
+        );
+        let mut o = Obj::default();
+        o.str_field("distribution", dist.name())
+            .field("workers", p)
+            .field("order", order)
+            .field("depth", uni.depth)
+            .field("forces", forces)
+            .field("uniform", side_u)
+            .field("cost_weighted", side_c)
+            .field("bitwise_identical", bitwise);
+        entries.push(o.finish());
+        if gated {
             cases.push(BalanceCase {
                 dist,
                 workers: p,
@@ -462,8 +516,16 @@ fn bench_balance(seeded: bool) -> (String, Vec<BalanceCase>) {
         }
     }
     let mut root = Obj::default();
-    root.field("seeded", seeded)
-        .field("n_particles", n)
+    root.field("seeded", seeded);
+    if !seeded {
+        root.field(
+            "nproc",
+            std::thread::available_parallelism().map_or(1, |p| p.get()),
+        )
+        .str_field("kernel", Kernel::detect().name())
+        .field("wall_runs", 5);
+    }
+    root.field("n_particles", n)
         .field("depth", depth)
         .field("cases", json_array(entries));
     (root.finish(), cases)

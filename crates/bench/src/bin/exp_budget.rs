@@ -8,7 +8,7 @@ use fmm_bench::util::header;
 use fmm_machine::{communication_budget, CostModel, ProgramConfig};
 
 fn show(name: &str, cfg: &ProgramConfig, cost: &CostModel) {
-    let b = communication_budget(cfg);
+    let b = communication_budget(cfg, None);
     println!(
         "\n-- {} (depth {}, K = {}, {:.0}M particles, {} VUs, supernodes {}) --",
         name,

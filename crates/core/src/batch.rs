@@ -24,7 +24,7 @@
 //! changes scheduling, never arithmetic. fmm-serve's coalescing batcher
 //! relies on this — a request cannot observe whether it was batched.
 
-use crate::driver::{EvalOutput, Fmm, FmmError, System};
+use crate::driver::{check_input, EvalOutput, Fmm, FmmError, System};
 use crate::near::NearFieldStats;
 use fmm_tree::Domain;
 
@@ -116,6 +116,11 @@ impl Fmm {
                     q.charges.len()
                 )));
             }
+            let domain = Domain::bounding(q.positions);
+            check_input(q.positions, q.charges, &domain).map_err(|e| match e {
+                FmmError::BadInput(m) => FmmError::BadInput(format!("request {i}: {m}")),
+                e => e,
+            })?;
         }
         if matches!(
             self.cfg.effective_executor(),

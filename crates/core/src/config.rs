@@ -92,9 +92,10 @@ impl Fabric {
     }
 }
 
-/// Options of the message-passing SPMD executor: how many ranks, which
-/// fabric carries their messages, and an optional per-run load-balance
-/// override. `Copy + Hash` so [`Executor`] stays embeddable in plan keys.
+/// Options of the message-passing SPMD executor: how many ranks and which
+/// fabric carries their messages. The load-balance policy is
+/// [`FmmConfig::balance`]. `Copy + Hash` so [`Executor`] stays embeddable
+/// in plan keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpmdOptions {
     /// Worker (rank) count; must be a power of two.
@@ -103,9 +104,6 @@ pub struct SpmdOptions {
     /// fabrics; this knob trades ownership-transfer channels against real
     /// socket framing (and, via `fmm_spmd::distributed`, OS processes).
     pub transport: Fabric,
-    /// Load-balance override for this executor; `None` defers to
-    /// [`FmmConfig::balance`].
-    pub balance_hint: Option<Balance>,
 }
 
 impl SpmdOptions {
@@ -114,19 +112,12 @@ impl SpmdOptions {
         SpmdOptions {
             workers,
             transport: Fabric::InProcess,
-            balance_hint: None,
         }
     }
 
     /// Builder-style: select the message fabric.
     pub fn transport(mut self, f: Fabric) -> Self {
         self.transport = f;
-        self
-    }
-
-    /// Builder-style: override the load-balance policy for this executor.
-    pub fn balance_hint(mut self, b: Balance) -> Self {
-        self.balance_hint = Some(b);
         self
     }
 }
@@ -309,16 +300,6 @@ impl FmmConfig {
     /// always means sequential, whatever `parallel` says.
     pub fn parallel_sweeps(&self) -> bool {
         matches!(self.effective_executor(), Executor::Rayon)
-    }
-
-    /// The SPMD load-balance policy that will actually run: the
-    /// executor's [`SpmdOptions::balance_hint`] when set, else the
-    /// config-level [`FmmConfig::balance`].
-    pub fn effective_balance(&self) -> Balance {
-        match self.effective_executor() {
-            Executor::Spmd(opts) => opts.balance_hint.unwrap_or(self.balance),
-            _ => self.balance,
-        }
     }
 
     /// Builder-style: fixed depth.

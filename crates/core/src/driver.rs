@@ -38,6 +38,44 @@ impl fmt::Display for FmmError {
 
 impl std::error::Error for FmmError {}
 
+/// Largest coordinate magnitude [`check_input`] accepts. Any extent of
+/// in-range points is at most twice this, so its square — the kernels
+/// form squared distances — stays finite.
+pub const MAX_COORDINATE: f64 = 1e150;
+
+/// The hostile-input check every entry point runs before evaluating:
+/// rejects a non-finite or out-of-range ([`MAX_COORDINATE`]) position, a
+/// non-finite charge, and a domain whose side is not positive or not
+/// finite when squared, naming the first bad index. Without it such input evaluates
+/// to `Ok` with every potential non-finite.
+pub fn check_input(
+    positions: &[[f64; 3]],
+    charges: &[f64],
+    domain: &Domain,
+) -> Result<(), FmmError> {
+    let in_range = |x: &f64| x.is_finite() && x.abs() <= MAX_COORDINATE;
+    if let Some(i) = positions.iter().position(|p| !p.iter().all(in_range)) {
+        return Err(FmmError::BadInput(format!(
+            "position {i} {:?} is not finite or exceeds ±{MAX_COORDINATE:e}",
+            positions[i]
+        )));
+    }
+    if let Some(i) = charges.iter().position(|q| !q.is_finite()) {
+        return Err(FmmError::BadInput(format!(
+            "charge {i} ({}) is not finite",
+            charges[i]
+        )));
+    }
+    let side_ok = domain.size > 0.0 && (domain.size * domain.size).is_finite();
+    if !side_ok || !domain.min.iter().all(|x| x.is_finite()) {
+        return Err(FmmError::BadInput(format!(
+            "domain of side {:e} at {:?}: the box side is not positive, or not finite when squared",
+            domain.size, domain.min
+        )));
+    }
+    Ok(())
+}
+
 /// Result of one evaluation.
 #[derive(Debug, Clone)]
 pub struct EvalOutput {
@@ -243,6 +281,11 @@ impl Fmm {
         all.extend_from_slice(targets);
         let domain = Domain::bounding(&all);
         drop(all);
+        check_input(positions, charges, &domain)?;
+        check_input(targets, &[], &domain).map_err(|e| match e {
+            FmmError::BadInput(m) => FmmError::BadInput(format!("targets: {m}")),
+            e => e,
+        })?;
 
         let depth = self.cfg.depth.resolve(positions.len());
         let k = self.k();
@@ -332,6 +375,7 @@ impl Fmm {
                 charges.len()
             )));
         }
+        check_input(positions, charges, &domain)?;
         if let Executor::Spmd(opts) = self.cfg.effective_executor() {
             let backend = SPMD_BACKEND.get().ok_or_else(|| {
                 FmmError::InvalidConfig(

@@ -59,7 +59,7 @@ pub mod traversal;
 
 pub use batch::{BatchOutput, BatchRequest};
 pub use config::{Balance, DepthPolicy, Executor, Fabric, FmmConfig, Precision, SpmdOptions};
-pub use driver::{EvalOutput, Fmm, FmmError};
+pub use driver::{check_input, EvalOutput, Fmm, FmmError, MAX_COORDINATE};
 pub use error::{relative_error_stats, ErrorStats};
 pub use near::{
     near_field_potentials, near_field_symmetric, near_field_symmetric_colored,

@@ -261,6 +261,12 @@ impl<'a> IntoIterator for &'a Counters {
 /// Per-phase measured communication of one SPMD evaluation, attached to
 /// [`crate::EvalOutput`] when the run used [`crate::Executor::Spmd`].
 /// Phases are indexed like the machine model's program budget.
+///
+/// The evaluation's profile takes its phase times from rank 0. Its
+/// `sort` phase also holds the set-up before the workers start: building
+/// the communication program, which under
+/// [`crate::Balance::CostWeighted`] includes pricing every leaf, cutting
+/// the Morton curve and deriving the exchange plans.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpmdReport {
     /// Worker (VU) count.

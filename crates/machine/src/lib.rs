@@ -47,8 +47,8 @@ pub use ghost::{FetchStrategy, GhostResult};
 pub use grid::DistGrid;
 pub use layout::{BlockLayout, VuGrid};
 pub use program::{
-    communication_budget, communication_budget_with, gather_hops, subgrid_extent, PhaseBudget,
-    ProgramBudget, ProgramConfig, PARTICLE_WORDS,
+    communication_budget, gather_hops, subgrid_extent, PhaseBudget, ProgramBudget, ProgramConfig,
+    PARTICLE_WORDS,
 };
 pub use transport::{preflight, PreflightReport, TransportModel};
 pub use travel::{TravelPath, TravelStep};

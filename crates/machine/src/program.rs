@@ -167,16 +167,9 @@ pub fn subgrid_extent(l: u32, vu: &VuGrid) -> Option<[usize; 3]> {
     Some(s)
 }
 
-/// Assemble the per-phase communication/compute budget for the uniform
-/// block layout (equivalent to [`communication_budget_with`] with no
-/// partition).
-pub fn communication_budget(cfg: &ProgramConfig) -> ProgramBudget {
-    communication_budget_with(cfg, None)
-}
-
-/// Assemble the per-phase budget, optionally for a cost-weighted
-/// [`Partition`] of the leaf Morton curve instead of the uniform block
-/// layout.
+/// Assemble the per-phase communication/compute budget: for the paper's
+/// block layout (`partition: None`), or for a [`Partition`] of the leaf
+/// Morton curve.
 ///
 /// With a partition, the upward / downward / near communication counters
 /// are no longer closed forms: they are summed from the exact exchange
@@ -187,10 +180,7 @@ pub fn communication_budget(cfg: &ProgramConfig) -> ProgramBudget {
 /// by construction. Compute flops keep the layout-independent closed
 /// forms. The partitioned near field is modelled at two-separation, like
 /// the closed-form path.
-pub fn communication_budget_with(
-    cfg: &ProgramConfig,
-    partition: Option<&Partition>,
-) -> ProgramBudget {
+pub fn communication_budget(cfg: &ProgramConfig, partition: Option<&Partition>) -> ProgramBudget {
     let mut budget = closed_form_budget(cfg);
     let Some(part) = partition else {
         return budget;
@@ -457,8 +447,8 @@ mod tests {
     #[test]
     fn paper_configs_hit_the_claimed_comm_band() {
         let cost = CostModel::cm5e();
-        let d5 = communication_budget(&ProgramConfig::paper_d5());
-        let d14 = communication_budget(&ProgramConfig::paper_d14());
+        let d5 = communication_budget(&ProgramConfig::paper_d5(), None);
+        let d14 = communication_budget(&ProgramConfig::paper_d14(), None);
         let f5 = d5.comm_fraction(&cost);
         let f14 = d14.comm_fraction(&cost);
         // Paper: "about 10-25%" (12% for K=12/depth 8 in the traversal,
@@ -476,9 +466,9 @@ mod tests {
     fn supernodes_reduce_compute_not_comm() {
         let mut cfg = ProgramConfig::paper_d5();
         cfg.supernodes = false;
-        let plain = communication_budget(&cfg);
+        let plain = communication_budget(&cfg, None);
         cfg.supernodes = true;
-        let sup = communication_budget(&cfg);
+        let sup = communication_budget(&cfg, None);
         assert!(sup.total_flops() < plain.total_flops());
         let cost = CostModel::cm5e();
         // Supernodes shrink the halo only slightly (depth 4 vs 5) while
@@ -497,7 +487,7 @@ mod tests {
                 particles_per_box: 10.0,
                 ..ProgramConfig::paper_d5()
             };
-            let b = communication_budget(&cfg);
+            let b = communication_budget(&cfg, None);
             let down = b
                 .phases
                 .iter()
@@ -515,9 +505,9 @@ mod tests {
         let cost = CostModel::cm5e();
         let mut cfg = ProgramConfig::paper_d5();
         cfg.sort_miss_fraction = 0.0;
-        let clean = communication_budget(&cfg).comm_s(&cost);
+        let clean = communication_budget(&cfg, None).comm_s(&cost);
         cfg.sort_miss_fraction = 0.5;
-        let dirty = communication_budget(&cfg).comm_s(&cost);
+        let dirty = communication_budget(&cfg, None).comm_s(&cost);
         assert!(dirty > clean);
     }
 
@@ -537,7 +527,7 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761)) % 997)
             .collect();
         let part = Partition::cost_weighted(3, 8, &costs);
-        let b = communication_budget_with(&cfg, Some(&part));
+        let b = communication_budget(&cfg, Some(&part));
         // Upward is exactly the level-2 child flush.
         let cf = child_flush(&part, 2);
         assert_eq!(b.phases[2].comm.sends, cf.messages());
@@ -556,7 +546,7 @@ mod tests {
         assert_eq!(crate::compare::predicted_messages(&b.phases[1].comm), 0);
         assert_eq!(crate::compare::predicted_messages(&b.phases[4].comm), 0);
         // The forces variant prices the particle halo instead of the sweep.
-        let bf = communication_budget_with(
+        let bf = communication_budget(
             &ProgramConfig {
                 forces_near: true,
                 ..cfg.clone()
@@ -581,7 +571,7 @@ mod tests {
             sort_miss_fraction: 0.0,
             forces_near: false,
         };
-        let b = communication_budget_with(&cfg, Some(&Partition::uniform(3, 1)));
+        let b = communication_budget(&cfg, Some(&Partition::uniform(3, 1)));
         for ph in &b.phases {
             assert_eq!(
                 crate::compare::predicted_messages(&ph.comm),
@@ -598,7 +588,7 @@ mod tests {
         // arithmetic efficiency, the paper's Table-3 regime), the overall
         // efficiency should land in the paper's 25–40% band.
         let cost = CostModel::cm5e();
-        let b = communication_budget(&ProgramConfig::paper_d14());
+        let b = communication_budget(&ProgramConfig::paper_d14(), None);
         let eff = b.efficiency(&cost, cost.flop_ns / 2.0);
         assert!(eff > 0.2 && eff < 0.55, "efficiency {}", eff);
     }

@@ -169,16 +169,19 @@ mod tests {
     use crate::VuGrid;
 
     fn table4_budget() -> ProgramBudget {
-        communication_budget(&ProgramConfig {
-            depth: 4,
-            k: 6,
-            m: 5,
-            particles_per_box: 4.0,
-            vu_grid: VuGrid::new([8, 4, 4]),
-            supernodes: false,
-            sort_miss_fraction: 1.0 - 1.0 / 128.0,
-            forces_near: false,
-        })
+        communication_budget(
+            &ProgramConfig {
+                depth: 4,
+                k: 6,
+                m: 5,
+                particles_per_box: 4.0,
+                vu_grid: VuGrid::new([8, 4, 4]),
+                supernodes: false,
+                sort_miss_fraction: 1.0 - 1.0 / 128.0,
+                forces_near: false,
+            },
+            None,
+        )
     }
 
     #[test]

@@ -244,6 +244,13 @@ fn evaluate(
         Metrics::inc(&m.errors_total);
         return Err("no particles".into());
     }
+    // Hostile input is refused here, on its own, so it never fails the
+    // batch it would have joined.
+    let domain = fmm_core::Domain::bounding(&req.positions);
+    if let Err(e) = fmm_core::check_input(&req.positions, &req.charges, &domain) {
+        Metrics::inc(&m.errors_total);
+        return Err(e.to_string());
+    }
     let rx = match batcher.submit(req) {
         Ok(rx) => rx,
         Err(e) => {

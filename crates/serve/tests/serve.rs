@@ -101,6 +101,49 @@ fn binary_round_trip_is_bitwise_vs_local() {
 }
 
 #[test]
+fn hostile_request_is_refused_without_failing_its_batch() {
+    // A wide coalescing window, so the good request and the hostile one
+    // arrive together; the hostile one is refused at admission and the
+    // good one still evaluates bitwise like a local run.
+    let server = start(200, 64);
+    let addr = server.local_addr().to_string();
+    let (pts, q) = system(64, 3);
+    let mut bad = pts.clone();
+    bad[5][1] = f64::NAN;
+    let hostile = {
+        let (addr, q) = (addr.clone(), q.clone());
+        std::thread::spawn(move || {
+            binary_evaluate(
+                &addr,
+                &EvalRequest {
+                    shape: shape(),
+                    positions: bad,
+                    charges: q,
+                },
+            )
+        })
+    };
+    let good = binary_evaluate(
+        &addr,
+        &EvalRequest {
+            shape: shape(),
+            positions: pts.clone(),
+            charges: q.clone(),
+        },
+    )
+    .unwrap();
+    let err = hostile.join().unwrap().unwrap_err();
+    assert!(err.contains("position 5"), "{err}");
+    let local = Fmm::new(FmmConfig::order(3).depth(2)).unwrap();
+    let want = local.evaluate(&pts, &q).unwrap().potentials;
+    for (a, b) in good.potentials.iter().zip(&want) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn forces_round_trip_carries_fields() {
     let server = start(1, 64);
     let addr = server.local_addr().to_string();

@@ -15,7 +15,7 @@
 //! (and force component with `--forces`) followed by the per-phase
 //! channel counters — so `cmp` across runs checks both numerics and data
 //! motion byte for byte. With `--check-budget` the measured counters are
-//! additionally checked against `communication_budget_with`: exact on
+//! additionally checked against `communication_budget`: exact on
 //! the deterministic phases, the shared 10% comparator elsewhere.
 
 use std::io::Write;
@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use fmm_core::{Balance, Executor, Fmm, FmmConfig};
 use fmm_machine::{
-    check_phases, communication_budget_with, predicted_bytes, predicted_messages, MeasuredPhase,
+    check_phases, communication_budget, predicted_bytes, predicted_messages, MeasuredPhase,
     ProgramConfig, VuGrid, DEFAULT_TOLERANCE,
 };
 use fmm_spmd::{evaluate_distributed, FabricAddr, LaunchConfig, Partition};
@@ -208,7 +208,7 @@ fn run() -> Result<(), String> {
             .partition
             .clone()
             .map(|splits| Partition::from_splits(out.depth, splits));
-        let budget = communication_budget_with(
+        let budget = communication_budget(
             &ProgramConfig {
                 depth: out.depth,
                 k,
@@ -268,7 +268,7 @@ fn run() -> Result<(), String> {
                     .join("\n")
             ));
         }
-        eprintln!("fmm-launch: counters match communication_budget_with");
+        eprintln!("fmm-launch: counters match communication_budget");
     }
     Ok(())
 }

@@ -23,11 +23,10 @@
 use std::collections::BTreeMap;
 
 use fmm_machine::BlockLayout;
-use fmm_tree::morton::morton_encode;
-use fmm_tree::{Exchange, Partition};
+use fmm_tree::{BoxCoord, Exchange};
 
 use crate::fabric::WorkerCtx;
-use crate::schedule::{cell_index, halo_axis_plan, particle_axis_plan, ring_partners};
+use crate::schedule::{cell_index, halo_axis_plan, particle_axis_plan, CommProgram};
 
 /// Personalized all-to-all (the router): worker `w` receives
 /// `outgoing[w]`, concatenated in source-rank order. The model prices the
@@ -225,12 +224,52 @@ impl CellParticles {
     }
 }
 
+/// Serialize `cells` as `[count, xs.., ys.., zs.., qs..]` records, in
+/// order: owned cells from `own`, forwarded ones from `store`. Returns the
+/// message and its payload words (the count is envelope metadata).
+fn pack_cells(
+    cells: &[usize],
+    own: &impl Fn(usize) -> Option<CellParticles>,
+    store: &BTreeMap<usize, CellParticles>,
+) -> (Vec<f64>, u64) {
+    let mut data = Vec::new();
+    let mut payload = 0u64;
+    for &c in cells {
+        let cell = own(c)
+            .or_else(|| store.get(&c).cloned())
+            .unwrap_or_default();
+        data.push(cell.len() as f64);
+        payload += 4 * cell.len() as u64;
+        data.extend_from_slice(&cell.xs);
+        data.extend_from_slice(&cell.ys);
+        data.extend_from_slice(&cell.zs);
+        data.extend_from_slice(&cell.qs);
+    }
+    (data, payload)
+}
+
+/// Inverse of [`pack_cells`]: store each received cell under its index.
+fn unpack_cells(data: &[f64], cells: &[usize], store: &mut BTreeMap<usize, CellParticles>) {
+    let mut i = 0usize;
+    for &c in cells {
+        let cnt = data[i] as usize;
+        i += 1;
+        let mut take = || {
+            let v = data[i..i + cnt].to_vec();
+            i += cnt;
+            v
+        };
+        let (xs, ys, zs, qs) = (take(), take(), take(), take());
+        store.insert(c, CellParticles { xs, ys, zs, qs });
+    }
+    debug_assert_eq!(i, data.len());
+}
+
 /// One axis phase of the halo exchange of leaf *particles* (positions +
 /// charges) to ghost depth `g`, without wrap — the forces near field is
 /// target-centric and only reads true in-domain neighbors. `own` serves a
 /// cell I own; received cells accumulate in `store` and are re-served in
-/// later phases (corner forwarding). Message layout per cell, in plan
-/// order: `[count, xs.., ys.., zs.., qs..]`.
+/// later phases (corner forwarding).
 pub fn particle_halo_axis(
     ctx: &mut WorkerCtx,
     depth: u32,
@@ -252,19 +291,7 @@ pub fn particle_halo_axis(
         let dst = ctx.grid.rank(dst_c);
         let dplan = particle_axis_plan(&lay, dst_c, axis, g, n);
         if let Some(cells) = dplan.get(&ctx.rank) {
-            let mut data = Vec::new();
-            let mut payload = 0u64;
-            for &c in cells {
-                let cell = own(c)
-                    .or_else(|| store.get(&c).cloned())
-                    .unwrap_or_default();
-                data.push(cell.len() as f64);
-                payload += 4 * cell.len() as u64;
-                data.extend_from_slice(&cell.xs);
-                data.extend_from_slice(&cell.ys);
-                data.extend_from_slice(&cell.zs);
-                data.extend_from_slice(&cell.qs);
-            }
+            let (data, payload) = pack_cells(cells, own, store);
             ctx.counters.add_words(payload);
             ctx.send(dst, tag, data);
         }
@@ -272,71 +299,28 @@ pub fn particle_halo_axis(
     let plan = particle_axis_plan(&lay, my, axis, g, n);
     for (src, cells) in &plan {
         let data = ctx.recv(*src, tag);
-        let mut i = 0usize;
-        for &c in cells {
-            let cnt = data[i] as usize;
-            i += 1;
-            let take = |i: &mut usize| -> Vec<f64> {
-                let v = data[*i..*i + cnt].to_vec();
-                *i += cnt;
-                v
-            };
-            let xs = take(&mut i);
-            let ys = take(&mut i);
-            let zs = take(&mut i);
-            let qs = take(&mut i);
-            store.insert(c, CellParticles { xs, ys, zs, qs });
-        }
-        debug_assert_eq!(i, data.len());
+        unpack_cells(&data, cells, store);
     }
 }
 
 /// One-shot partitioned particle halo (forces near field): every cross-
 /// owner neighbour cell of the [`fmm_tree::particle_halo`] plan moves in a
-/// single exchange. `own` serves a cell this rank owns; received cells
-/// land in `store`. Message layout per cell, in plan order:
-/// `[count, xs.., ys.., zs.., qs..]` (the count is envelope metadata, like
-/// the axis-phase variant's).
+/// single exchange, in the record layout of [`particle_halo_axis`].
 pub fn particle_exchange(
     ctx: &mut WorkerCtx,
     ex: &Exchange,
-    own: &impl Fn(usize) -> CellParticles,
+    own: &impl Fn(usize) -> Option<CellParticles>,
     store: &mut BTreeMap<usize, CellParticles>,
 ) {
     let tag = ctx.tags.fresh();
     for (dst, cells) in &ex.sends[ctx.rank] {
-        let mut data = Vec::new();
-        let mut payload = 0u64;
-        for &c in cells {
-            let cell = own(c);
-            data.push(cell.len() as f64);
-            payload += 4 * cell.len() as u64;
-            data.extend_from_slice(&cell.xs);
-            data.extend_from_slice(&cell.ys);
-            data.extend_from_slice(&cell.zs);
-            data.extend_from_slice(&cell.qs);
-        }
+        let (data, payload) = pack_cells(cells, own, store);
         ctx.counters.add_words(payload);
         ctx.send(*dst, tag, data);
     }
     for (src, cells) in &ex.recvs[ctx.rank] {
         let data = ctx.recv(*src, tag);
-        let mut i = 0usize;
-        for &c in cells {
-            let cnt = data[i] as usize;
-            i += 1;
-            let take = |i: &mut usize| -> Vec<f64> {
-                let v = data[*i..*i + cnt].to_vec();
-                *i += cnt;
-                v
-            };
-            let xs = take(&mut i);
-            let ys = take(&mut i);
-            let zs = take(&mut i);
-            let qs = take(&mut i);
-            store.insert(c, CellParticles { xs, ys, zs, qs });
-        }
-        debug_assert_eq!(i, data.len());
+        unpack_cells(&data, cells, store);
     }
 }
 
@@ -349,140 +333,77 @@ pub struct Slot {
     pub acc: Vec<f64>,
 }
 
-/// One unit CSHIFT of the travelling slots: every slot's position moves by
-/// `pos_delta` (±1) along `axis` with circular wrap. Slots that cross a VU
-/// boundary are serialized to the grid neighbor; the rest re-key locally.
-/// `slots` is keyed by current position (global leaf index).
+/// One unit shift of the travelling slots: every slot's position moves by
+/// `pos_delta` (±1) along `axis` with circular wrap. Slots whose new
+/// position another rank owns are serialized to it; the rest re-key
+/// locally. `slots` is keyed by current position (global leaf index).
+///
+/// The peers come from the program's ownership
+/// ([`CommProgram::slot_peers`]): under the block layout this is the
+/// paper's CSHIFT to the ring partner (one message, possibly empty);
+/// under a Morton partition it is the hop's precomputed route. Either way
+/// each message carries its slots in ascending source position as
+/// `[npos, origin, cnt, xs, ys, zs, qs, acc]` records.
 pub fn shift_slots(
     ctx: &mut WorkerCtx,
     slots: &mut BTreeMap<usize, Slot>,
     axis: usize,
     pos_delta: i32,
-    lay: &BlockLayout,
-    n: usize,
+    prog: &CommProgram,
 ) {
     let tag = ctx.tags.fresh();
-    let mut staying: BTreeMap<usize, Slot> = BTreeMap::new();
-    let mut leaving: Vec<f64> = Vec::new();
-    let mut leaving_words = 0u64;
+    let n = 1usize << prog.depth;
+    let (dsts, srcs) = prog.slot_peers(ctx.rank, axis, pos_delta);
+    let mut out: Vec<(usize, Vec<f64>, u64)> =
+        dsts.into_iter().map(|d| (d, Vec::new(), 0)).collect();
     for (pos, slot) in std::mem::take(slots) {
         let mut g = [pos % n, (pos / n) % n, pos / (n * n)];
         g[axis] = (g[axis] as i64 + pos_delta as i64).rem_euclid(n as i64) as usize;
         let npos = cell_index(g, n);
-        if lay.vu_of(g) == ctx.rank {
-            ctx.counters.add_local_words(5 * slot.cell.len() as u64);
-            staying.insert(npos, slot);
-        } else {
-            let cnt = slot.cell.len();
-            leaving_words += 5 * cnt as u64;
-            leaving.push(npos as f64);
-            leaving.push(slot.origin as f64);
-            leaving.push(cnt as f64);
-            leaving.extend_from_slice(&slot.cell.xs);
-            leaving.extend_from_slice(&slot.cell.ys);
-            leaving.extend_from_slice(&slot.cell.zs);
-            leaving.extend_from_slice(&slot.cell.qs);
-            leaving.extend_from_slice(&slot.acc);
-        }
-    }
-    *slots = staying;
-    if ctx.grid.dims[axis] == 1 {
-        debug_assert!(leaving.is_empty());
-        return;
-    }
-    let (dst, src) = ring_partners(&ctx.grid, ctx.rank, axis, pos_delta);
-    ctx.counters.add_words(leaving_words);
-    ctx.send(dst, tag, leaving);
-    let data = ctx.recv(src, tag);
-    unpack_slots(&data, slots);
-}
-
-/// Deserialize a stream of `[npos, origin, cnt, xs, ys, zs, qs, acc]`
-/// slot records into `slots`, keyed by new position.
-fn unpack_slots(data: &[f64], slots: &mut BTreeMap<usize, Slot>) {
-    let mut i = 0usize;
-    while i < data.len() {
-        let npos = data[i] as usize;
-        let origin = data[i + 1] as usize;
-        let cnt = data[i + 2] as usize;
-        i += 3;
-        let take = |i: &mut usize| -> Vec<f64> {
-            let v = data[*i..*i + cnt].to_vec();
-            *i += cnt;
-            v
-        };
-        let xs = take(&mut i);
-        let ys = take(&mut i);
-        let zs = take(&mut i);
-        let qs = take(&mut i);
-        let acc = take(&mut i);
-        slots.insert(
-            npos,
-            Slot {
-                origin,
-                cell: CellParticles { xs, ys, zs, qs },
-                acc,
-            },
-        );
-    }
-}
-
-/// Partitioned variant of [`shift_slots`]: the same unit circular shift of
-/// slot positions, but ownership follows the Morton `part` and departing
-/// slots travel by the precomputed `route` ([`fmm_tree::slot_route`] for
-/// this `(axis, pos_delta)`), which keys each crossing slot by its
-/// *source* cell — so sender and receiver agree on serialization order
-/// with no extra metadata. Wire format matches [`shift_slots`].
-pub fn shift_slots_part(
-    ctx: &mut WorkerCtx,
-    slots: &mut BTreeMap<usize, Slot>,
-    axis: usize,
-    pos_delta: i32,
-    part: &Partition,
-    route: &Exchange,
-    n: usize,
-) {
-    let tag = ctx.tags.fresh();
-    let mut staying: BTreeMap<usize, Slot> = BTreeMap::new();
-    // Departing slots keyed by source cell, the route's key.
-    let mut leaving: BTreeMap<usize, (usize, Slot)> = BTreeMap::new();
-    for (pos, slot) in std::mem::take(slots) {
-        let mut g = [pos % n, (pos / n) % n, pos / (n * n)];
-        g[axis] = (g[axis] as i64 + pos_delta as i64).rem_euclid(n as i64) as usize;
-        let npos = cell_index(g, n);
-        let owner = part.leaf_owner(morton_encode(g[0] as u32, g[1] as u32, g[2] as u32));
+        let [x, y, z] = g.map(|c| c as u32);
+        let owner = prog.owner_of(&BoxCoord {
+            level: prog.depth,
+            x,
+            y,
+            z,
+        });
+        let cnt = slot.cell.len();
         if owner == ctx.rank {
-            ctx.counters.add_local_words(5 * slot.cell.len() as u64);
-            staying.insert(npos, slot);
-        } else {
-            leaving.insert(pos, (npos, slot));
+            ctx.counters.add_local_words(5 * cnt as u64);
+            slots.insert(npos, slot);
+            continue;
         }
+        let (_, data, words) = out
+            .iter_mut()
+            .find(|(d, ..)| *d == owner)
+            .expect("a departing slot travels to a scheduled peer");
+        *words += 5 * cnt as u64;
+        data.extend_from_slice(&[npos as f64, slot.origin as f64, cnt as f64]);
+        data.extend_from_slice(&slot.cell.xs);
+        data.extend_from_slice(&slot.cell.ys);
+        data.extend_from_slice(&slot.cell.zs);
+        data.extend_from_slice(&slot.cell.qs);
+        data.extend_from_slice(&slot.acc);
     }
-    *slots = staying;
-    for (dst, cells) in &route.sends[ctx.rank] {
-        let mut data = Vec::new();
-        let mut words = 0u64;
-        for &c in cells {
-            let (npos, slot) = leaving
-                .remove(&c)
-                .expect("route names every departing slot");
-            let cnt = slot.cell.len();
-            words += 5 * cnt as u64;
-            data.push(npos as f64);
-            data.push(slot.origin as f64);
-            data.push(cnt as f64);
-            data.extend_from_slice(&slot.cell.xs);
-            data.extend_from_slice(&slot.cell.ys);
-            data.extend_from_slice(&slot.cell.zs);
-            data.extend_from_slice(&slot.cell.qs);
-            data.extend_from_slice(&slot.acc);
-        }
+    for (dst, data, words) in out {
         ctx.counters.add_words(words);
-        ctx.send(*dst, tag, data);
+        ctx.send(dst, tag, data);
     }
-    debug_assert!(leaving.is_empty(), "departing slot missing from the route");
-    for (src, _) in &route.recvs[ctx.rank] {
-        let data = ctx.recv(*src, tag);
-        unpack_slots(&data, slots);
+    for src in srcs {
+        let data = ctx.recv(src, tag);
+        let mut i = 0usize;
+        while i < data.len() {
+            let (npos, origin, cnt) =
+                (data[i] as usize, data[i + 1] as usize, data[i + 2] as usize);
+            i += 3;
+            let mut take = || {
+                let v = data[i..i + cnt].to_vec();
+                i += cnt;
+                v
+            };
+            let (xs, ys, zs, qs, acc) = (take(), take(), take(), take(), take());
+            let cell = CellParticles { xs, ys, zs, qs };
+            slots.insert(npos, Slot { origin, cell, acc });
+        }
     }
 }

@@ -43,7 +43,7 @@ use fmm_core::stats::Counters;
 use fmm_core::{
     Balance, DepthPolicy, Domain, Executor, FmmConfig, Kernel, Separation, SpmdOptions,
 };
-use fmm_machine::{communication_budget_with, preflight, ProgramConfig, TransportModel};
+use fmm_machine::{communication_budget, preflight, ProgramConfig, TransportModel};
 
 use crate::exec::{self, WorkerOut};
 use crate::fabric::WorkerCtx;
@@ -558,13 +558,14 @@ pub fn evaluate_distributed(
             grid.dims
         )));
     }
-    let balance = cfg.effective_balance();
     let plan = fmm.plan_for(depth);
-    let program = build_program(fmm, positions, domain, depth, grid, lc.with_fields, balance);
+    let t0 = Instant::now();
+    let program = build_program(fmm, positions, domain, depth, grid, lc.with_fields);
+    let setup = t0.elapsed();
 
     // Pre-flight: price the program on the selected wire and refuse to
     // spawn ranks for a run that cannot fit the operator's budget.
-    let budget = communication_budget_with(
+    let budget = communication_budget(
         &ProgramConfig {
             depth,
             k: fmm.k(),
@@ -575,7 +576,7 @@ pub fn evaluate_distributed(
             sort_miss_fraction: 1.0 - 1.0 / p as f64,
             forces_near: lc.with_fields,
         },
-        program.partition.as_ref().map(|ps| &ps.partition),
+        program.partition(),
     );
     let model = TransportModel::by_name(lc.rendezvous.fabric().name())
         .expect("every fabric has a transport model");
@@ -635,7 +636,7 @@ pub fn evaluate_distributed(
             depth,
             softening: cfg.softening,
             kernel: cfg.resolve_kernel().name().to_string(),
-            cost_weighted: balance == Balance::CostWeighted,
+            cost_weighted: cfg.balance == Balance::CostWeighted,
             with_fields: lc.with_fields,
             workers: p as u32,
             domain_min: domain.min,
@@ -694,8 +695,7 @@ pub fn evaluate_distributed(
         fmm,
         &plan,
         &program,
-        grid,
-        depth,
+        setup,
         positions.len(),
         lc.with_fields,
         domain,
@@ -721,6 +721,7 @@ fn run_job<S: MeshStream>(
         size: job.domain_size,
     };
     let plan = fmm.plan_for(job.depth);
+    let t0 = Instant::now();
     let program = build_program(
         &fmm,
         &job.positions,
@@ -728,8 +729,8 @@ fn run_job<S: MeshStream>(
         job.depth,
         grid,
         job.with_fields,
-        fmm.config().effective_balance(),
     );
+    let setup = t0.elapsed();
     let shared = exec::Shared {
         fmm: &fmm,
         positions: &job.positions,
@@ -742,11 +743,9 @@ fn run_job<S: MeshStream>(
     };
     let transport = SocketTransport::new(rank, mesh).map_err(|e| e.to_string())?;
     let ctx = WorkerCtx::new(rank, grid, Box::new(transport));
-    let out = if program.partition.is_some() {
-        exec::worker_main_part(ctx, &shared)
-    } else {
-        exec::worker_main(ctx, &shared)
-    };
+    let mut out = exec::worker_main(ctx, &shared);
+    // This rank's copy of the program set-up precedes its sort.
+    out.times[0] += setup;
     Ok(out)
 }
 

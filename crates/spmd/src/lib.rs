@@ -2,8 +2,11 @@
 //!
 //! The machine model in `fmm-machine` *prices* the FMM's communication on a
 //! CM-5-style distributed machine; this crate *executes* it. N worker
-//! ranks play the VUs of a [`fmm_machine::VuGrid`], each owning a block
-//! of boxes outright. No shared mutable arrays exist: every datum that
+//! ranks play the VUs of a [`fmm_machine::VuGrid`], each owning boxes
+//! outright. One worker body runs every evaluation; who owns which box is
+//! the program's [`schedule::Ownership`] — the paper's block layout
+//! (`Balance::Uniform`) or a cost-weighted Morton-curve [`Partition`]
+//! (`Balance::CostWeighted`). No shared mutable arrays exist: every datum that
 //! moves between workers goes through an explicit [`Transport`], so the
 //! per-phase byte and message counters measured here are the program's
 //! actual data motion — directly comparable against
@@ -14,7 +17,8 @@
 //! post-sort particle redistribution, grid CSHIFTs with circular wrap for
 //! the downward halo and the near-field travelling accumulators, and
 //! tree-structured combine/spread for the coarse levels where boxes are
-//! fewer than VUs (the Multigrid embedding).
+//! fewer than VUs (the Multigrid embedding). Under a Morton partition the
+//! same steps become precomputed point-to-point exchange plans.
 //!
 //! Three fabrics carry the same `CommProgram`
 //! ([`fmm_core::Fabric`]): in-process `mpsc` channels (the default),
@@ -54,7 +58,7 @@ pub mod schedule;
 pub mod transport;
 
 use std::io;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fmm_core::driver::{EvalOutput, Fmm, FmmError};
 use fmm_core::near::NearFieldStats;
@@ -175,7 +179,9 @@ pub fn fabric_ctxs(grid: VuGrid, fabric: Fabric) -> io::Result<Vec<WorkerCtx>> {
 
 /// One source of truth for the communication schedule: the executor walks
 /// this program, `fmm-verify` statically checks it, and the distributed
-/// workers rebuild the identical one from the job description.
+/// workers rebuild the identical one from the job description. Under
+/// [`Balance::CostWeighted`] this prices every leaf and cuts the Morton
+/// curve first, so its time is part of the sort phase.
 pub(crate) fn build_program(
     fmm: &Fmm,
     positions: &[[f64; 3]],
@@ -183,35 +189,22 @@ pub(crate) fn build_program(
     depth: u32,
     grid: VuGrid,
     with_fields: bool,
-    balance: Balance,
 ) -> CommProgram {
     let cfg = fmm.config();
-    match balance {
-        Balance::Uniform => CommProgram::build(
-            grid,
+    let partition = (cfg.balance == Balance::CostWeighted).then(|| {
+        cost_partition(
+            positions,
+            domain,
             depth,
+            grid.len(),
             fmm.k(),
-            cfg.separation.d() as usize,
+            cfg.m_trunc,
             with_fields,
-        ),
-        Balance::CostWeighted => CommProgram::build_partitioned(
-            grid,
-            depth,
-            fmm.k(),
-            cfg.separation.d() as usize,
-            with_fields,
-            cost_partition(
-                positions,
-                domain,
-                depth,
-                grid.len(),
-                fmm.k(),
-                cfg.m_trunc,
-                with_fields,
-                cfg.separation,
-            ),
-        ),
-    }
+            cfg.separation,
+        )
+    });
+    let sep_d = cfg.separation.d() as usize;
+    CommProgram::build(grid, depth, fmm.k(), sep_d, with_fields, partition)
 }
 
 /// The backend entry point matching [`fmm_core::driver::SpmdBackend`].
@@ -236,15 +229,9 @@ fn run_spmd(
         )));
     }
     let plan = fmm.plan_for(depth);
-    let program = build_program(
-        fmm,
-        positions,
-        domain,
-        depth,
-        grid,
-        with_fields,
-        cfg.effective_balance(),
-    );
+    let t0 = Instant::now();
+    let program = build_program(fmm, positions, domain, depth, grid, with_fields);
+    let setup = t0.elapsed();
     let shared = exec::Shared {
         fmm,
         positions,
@@ -261,17 +248,12 @@ fn run_spmd(
             opts.transport.name()
         ))
     })?;
-    let outs = if program.partition.is_some() {
-        run_ctxs(ctxs, |ctx| exec::worker_main_part(ctx, &shared))
-    } else {
-        run_ctxs(ctxs, |ctx| exec::worker_main(ctx, &shared))
-    };
+    let outs = run_ctxs(ctxs, |ctx| exec::worker_main(ctx, &shared));
     Ok(assemble(
         fmm,
         &plan,
         &program,
-        grid,
-        depth,
+        setup,
         positions.len(),
         with_fields,
         domain,
@@ -281,21 +263,22 @@ fn run_spmd(
 
 /// Assemble per-worker outputs into one [`EvalOutput`]: scatter results
 /// back to original particle order, merge counters and stats, take phase
-/// times from rank 0. Shared between the thread launcher and the
-/// multi-process launcher in [`distributed`] — the aggregation must be
-/// identical or the fabrics would diverge at the last step.
+/// times from rank 0 plus the program `setup` time, booked to the sort
+/// phase. Shared between the thread launcher and the multi-process
+/// launcher in [`distributed`] — the aggregation must be identical or the
+/// fabrics would diverge at the last step.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble(
     fmm: &Fmm,
     plan: &TraversalPlan,
     program: &CommProgram,
-    grid: VuGrid,
-    depth: u32,
+    setup: Duration,
     n: usize,
     with_fields: bool,
     domain: Domain,
     outs: Vec<exec::WorkerOut>,
 ) -> EvalOutput {
+    let (grid, depth) = (program.grid, program.depth);
     let workers = grid.len();
     let mut potentials = vec![0.0; n];
     let mut fields = with_fields.then(|| vec![[0.0; 3]; n]);
@@ -355,6 +338,7 @@ pub(crate) fn assemble(
     for (ph, &t) in phase_of.iter().zip(critical_path) {
         profile.add_time(*ph, t);
     }
+    profile.add_time(Phase::Sort, setup);
     profile.add_flops(Phase::P2O, p2o_flops);
     profile.add_flops(Phase::Upward, tfl.t1);
     // T2 and T3 run in one timed downward sweep, as in the shared-memory
@@ -377,10 +361,7 @@ pub(crate) fn assemble(
             phases: counters,
             worker_busy_ns,
             worker_flops,
-            partition: program
-                .partition
-                .as_ref()
-                .map(|ps| ps.partition.splits().to_vec()),
+            partition: program.partition().map(|part| part.splits().to_vec()),
         }),
     }
 }
@@ -388,6 +369,96 @@ pub(crate) fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmm_core::{Executor, FmmConfig};
+
+    /// Run the one worker body over a hand-cut Morton partition at p = 4,
+    /// depth 3, and compare potentials (and fields) with the serial
+    /// backend bit for bit.
+    fn assert_cut_matches_serial(splits: &[u64], with_fields: bool) {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Clustered toward the origin corner, so some leaves are empty.
+        let pts: Vec<[f64; 3]> = (0..1500)
+            .map(|_| [next().powi(2), next().powi(2), next().powi(3)])
+            .collect();
+        let q: Vec<f64> = (0..pts.len()).map(|_| next() - 0.5).collect();
+        let cfg = FmmConfig::order(3).depth(3);
+        let serial = Fmm::new(cfg.clone().executor(Executor::Serial)).unwrap();
+        let reference = if with_fields {
+            serial.evaluate_forces(&pts, &q).unwrap()
+        } else {
+            serial.evaluate(&pts, &q).unwrap()
+        };
+
+        let fmm = Fmm::new(cfg).unwrap();
+        let (grid, domain) = (vu_grid_for(4), Domain::bounding(&pts));
+        let part = Partition::from_splits(3, splits.to_vec());
+        let program = CommProgram::build(grid, 3, fmm.k(), 2, with_fields, Some(part));
+        let plan = fmm.plan_for(3);
+        let shared = exec::Shared {
+            fmm: &fmm,
+            positions: &pts,
+            charges: &q,
+            domain,
+            depth: 3,
+            with_fields,
+            plan: &plan,
+            program: &program,
+        };
+        let outs = run_ctxs(channel_ctxs(grid), |ctx| exec::worker_main(ctx, &shared));
+        let out = assemble(
+            &fmm,
+            &plan,
+            &program,
+            Duration::ZERO,
+            pts.len(),
+            with_fields,
+            domain,
+            outs,
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&out.potentials),
+            bits(&reference.potentials),
+            "potentials, cuts {splits:?}"
+        );
+        let flat = |f: &Option<Vec<[f64; 3]>>| {
+            bits(&f.iter().flatten().flatten().copied().collect::<Vec<_>>())
+        };
+        assert_eq!(
+            flat(&out.fields),
+            flat(&reference.fields),
+            "fields, cuts {splits:?}"
+        );
+        assert_eq!(
+            out.near_stats.pair_interactions,
+            reference.near_stats.pair_interactions
+        );
+    }
+
+    #[test]
+    fn adversarial_cuts_match_serial_bitwise() {
+        let cuts: [&[u64]; 4] = [
+            // Rank 1 owns nothing.
+            &[0, 100, 100, 300, 512],
+            // Every cut splits one level-2 parent's eight children 3 | 5.
+            &[0, 131, 259, 387, 512],
+            // All leaves on rank 1; ranks 0, 2 and 3 own nothing.
+            &[0, 0, 512, 512, 512],
+            // All leaves on rank 0.
+            &[0, 512, 512, 512, 512],
+        ];
+        for splits in cuts {
+            for with_fields in [false, true] {
+                assert_cut_matches_serial(splits, with_fields);
+            }
+        }
+    }
 
     #[test]
     fn grid_factorization_round_robins() {

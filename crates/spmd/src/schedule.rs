@@ -1,17 +1,26 @@
 //! The communication program: a first-class IR of the SPMD executor's
 //! schedule, derivable from `(VuGrid, depth, K, separation, output kind)`
-//! alone — before any particle exists.
+//! and the box [`Ownership`] alone — no particle enters it.
 //!
 //! The paper's communication structure is *statically schedulable*: which
 //! CSHIFTs run, which ranks exchange halo cells, how the Multigrid-embedded
 //! levels gather and broadcast — all of it is a pure function of the
-//! machine shape and the hierarchy, not of the data. [`CommProgram`]
-//! reifies that schedule as a list of per-phase [`Step`]s, and is consumed
-//! from both sides:
+//! machine shape, the hierarchy and who owns each box, not of the
+//! particles (a cost-weighted ownership is cut from particle counts, but
+//! the program is a function of the cut alone).
+//! The ownership is either the paper's block layout or a Morton-curve
+//! [`Partition`] (the segment view of Hu, Gumerov & Duraiswami); one
+//! builder, [`CommProgram::build`], emits the block steps (`Gather`,
+//! `Broadcast`, `BoxHalo`, `ParticleHalo`) or the Morton steps
+//! (`ChildFlush`, `ParentFetch`, `PartBoxHalo`, `PartParticleHalo`) per
+//! level, around one shared sort and travelling-slot itinerary.
+//! [`CommProgram`] reifies that schedule as a list of per-phase [`Step`]s,
+//! and is consumed from both sides:
 //!
-//! * the executor ([`crate::run_workers`] workers in `exec.rs`) walks the
-//!   program step by step — phase order, levels, axes, shift directions and
-//!   tag sequence all come from here, nowhere else;
+//! * the executor (the one worker body in `exec.rs`) walks the program
+//!   step by step — phase order, levels, axes, shift directions and tag
+//!   sequence all come from here, nowhere else — and asks the program
+//!   which rows and leaves its rank owns;
 //! * the static analyzer (`fmm-verify`) lowers every step to its per-rank
 //!   send/receive endpoints via [`Step::ops_for`] and proves endpoint
 //!   matching, deadlock freedom and budget conformance without launching a
@@ -30,8 +39,10 @@
 use std::collections::BTreeMap;
 
 use fmm_machine::{subgrid_extent, BlockLayout, TravelPath, VuGrid};
-use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo, slot_route};
-use fmm_tree::Separation;
+use fmm_tree::partition::{
+    box_halo, child_flush, morton_to_rowmajor, parent_fetch, particle_halo, slot_route,
+};
+use fmm_tree::{BoxCoord, Separation};
 
 pub use fmm_tree::{Exchange, Partition};
 
@@ -133,64 +144,39 @@ pub struct Step {
     pub logical_msgs: u64,
 }
 
-/// The precomputed exchange plans of a cost-weighted (Morton-partitioned)
-/// program. The plans are built once from the [`Partition`] by
-/// [`CommProgram::build_partitioned`] and then consumed by *both* the
-/// executor's collectives and the static lowering ([`Step::ops_for`]), so
-/// the analyzed endpoints are the executed endpoints by construction.
+/// The precomputed exchange plans of a Morton-partitioned program, built
+/// once from the [`Partition`] by [`CommProgram::build`] and consumed by
+/// *both* the executor's collectives and the static lowering
+/// ([`Step::ops_for`]), so the analyzed endpoints are the executed
+/// endpoints by construction.
 #[derive(Debug, Clone)]
-pub struct PartitionSchedule {
+pub struct MortonPlans {
     /// The leaf Morton-curve split driving every plan below.
     pub partition: Partition,
-    /// Per *child* level (descending), the upward child-row flush.
-    pub child_flush: Vec<(u32, Exchange)>,
-    /// Per level `l ≥ 3`, the parent local-row fetch for T3.
-    pub parent_fetch: Vec<(u32, Exchange)>,
-    /// Per level `l ≥ 2`, the interactive-field far-row exchange.
-    pub box_halo: Vec<(u32, Exchange)>,
+    /// Upward child-row flushes, keyed by the *child* level.
+    pub child_flush: BTreeMap<u32, Exchange>,
+    /// Parent local-row fetches for T3, keyed by level `l ≥ 3`.
+    pub parent_fetch: BTreeMap<u32, Exchange>,
+    /// Interactive-field far-row exchanges, keyed by level `l ≥ 2`.
+    pub box_halo: BTreeMap<u32, Exchange>,
     /// The one-shot leaf particle exchange (forces near field).
     pub particle_halo: Exchange,
     /// Unit-hop slot routes keyed by `(axis, delta)` — at most six.
     pub slot_routes: BTreeMap<(usize, i32), Exchange>,
 }
 
-impl PartitionSchedule {
-    /// The child-flush plan whose rows live at `child_level`.
-    pub fn child_flush_at(&self, child_level: u32) -> &Exchange {
-        &self
-            .child_flush
-            .iter()
-            .find(|(l, _)| *l == child_level)
-            .expect("scheduled child level has a plan")
-            .1
-    }
-
-    /// The parent-fetch plan serving the T3 shift at `level`.
-    pub fn parent_fetch_at(&self, level: u32) -> &Exchange {
-        &self
-            .parent_fetch
-            .iter()
-            .find(|(l, _)| *l == level)
-            .expect("scheduled fetch level has a plan")
-            .1
-    }
-
-    /// The interactive-field exchange plan at `level`.
-    pub fn box_halo_at(&self, level: u32) -> &Exchange {
-        &self
-            .box_halo
-            .iter()
-            .find(|(l, _)| *l == level)
-            .expect("scheduled halo level has a plan")
-            .1
-    }
-
-    /// The slot route of one unit hop.
-    pub fn slot_route_at(&self, axis: usize, delta: i32) -> &Exchange {
-        self.slot_routes
-            .get(&(axis, delta))
-            .expect("scheduled hop has a route")
-    }
+/// Who owns each box — the one question that separates the two layouts
+/// the executor runs. Everything else (the per-box arithmetic, the phase
+/// order, the travelling-slot itinerary) is shared.
+#[derive(Debug, Clone)]
+pub enum Ownership {
+    /// The paper's block layout: each rank owns a subgrid of every level
+    /// that fills the VU grid; coarser levels are Multigrid-embedded on
+    /// rank 0. Collectives are CSHIFTs and binomial gather/broadcast.
+    Block,
+    /// A contiguous split of the leaf Morton curve (a coarse box follows
+    /// its first descendant leaf) with the exchange plans it induces.
+    Morton(MortonPlans),
 }
 
 /// The whole communication program of one evaluation, phase by phase, in
@@ -207,20 +193,56 @@ pub struct CommProgram {
     pub ghost: usize,
     /// Forces (particle halo) vs potentials (travelling slots) near field.
     pub with_fields: bool,
-    /// `Some` when the program runs over a cost-weighted Morton partition
-    /// instead of the uniform block layout.
-    pub partition: Option<PartitionSchedule>,
+    /// Which rank owns each box.
+    pub owner: Ownership,
     pub phases: [Vec<Step>; 6],
 }
 
 impl CommProgram {
     /// Derive the schedule. Pure: depends only on the arguments.
-    pub fn build(grid: VuGrid, depth: u32, k: usize, sep_d: usize, with_fields: bool) -> Self {
+    ///
+    /// `partition: None` runs the paper's block layout: a router sort,
+    /// one binomial gather into the Multigrid-embedded levels, one
+    /// broadcast back out, and three wrapped box-halo CSHIFT phases per
+    /// distributed level. `Some` runs the Morton partition: every level
+    /// from 2 down stays distributed, and each exchange is a precomputed
+    /// [`Exchange`] plan whose exact machine-wide message count is the
+    /// step's `logical_msgs`, which is what
+    /// `fmm_machine::communication_budget` prices.
+    pub fn build(
+        grid: VuGrid,
+        depth: u32,
+        k: usize,
+        sep_d: usize,
+        with_fields: bool,
+        partition: Option<Partition>,
+    ) -> Self {
         let p = grid.len();
-        let ghost = 2 * sep_d + 1;
+        let sep = match sep_d {
+            1 => Separation::One,
+            2 => Separation::Two,
+            _ => panic!("unsupported separation d = {sep_d}"),
+        };
+        let mut plans = partition.map(|part| {
+            assert_eq!(
+                p,
+                part.workers(),
+                "partition workers must match the VU grid"
+            );
+            assert_eq!(depth, part.depth(), "partition depth must match");
+            MortonPlans {
+                partition: part,
+                child_flush: BTreeMap::new(),
+                parent_fetch: BTreeMap::new(),
+                box_halo: BTreeMap::new(),
+                particle_halo: Exchange::default(),
+                slot_routes: BTreeMap::new(),
+            }
+        });
+        let distributed = |l: u32| subgrid_extent(l, &grid).is_some();
         let mut phases: [Vec<Step>; 6] = Default::default();
         let mut tag = 0u64;
-        let mut push = |phases: &mut [Vec<Step>; 6], phase: usize, kind, logical_msgs| {
+        let mut push = |phase: usize, kind, logical_msgs| {
             phases[phase].push(Step {
                 kind,
                 tag,
@@ -231,239 +253,105 @@ impl CommProgram {
 
         // Phase 0 — sort: one router operation (a no-op message-wise at
         // p = 1, but the collective still runs and burns its tag).
-        push(&mut phases, 0, StepKind::Router, (p > 1) as u64);
+        push(0, StepKind::Router, (p > 1) as u64);
 
-        // Phase 2 — upward: a single binomial gather at the transition
-        // from the block-distributed levels into the Multigrid-embed
-        // region (child level still distributed, parent level not).
+        // Phase 2 — upward, finest parent level first. Block: a single
+        // binomial gather at the transition into the Multigrid-embedded
+        // region (child level distributed, parent level not). Morton: one
+        // child-row flush per parent level down to 2 (levels 1 and 0 are
+        // never read by T2/T3, so no partitioned rank computes them).
         if depth >= 3 {
             for l in (1..depth).rev() {
-                if subgrid_extent(l, &grid).is_none() && subgrid_extent(l + 1, &grid).is_some() {
-                    push(
-                        &mut phases,
-                        2,
-                        StepKind::Gather { level: l + 1 },
-                        p as u64 - 1,
-                    );
+                match plans.as_mut() {
+                    None if !distributed(l) && distributed(l + 1) => {
+                        push(2, StepKind::Gather { level: l + 1 }, p as u64 - 1)
+                    }
+                    Some(mp) if l >= 2 => {
+                        let ex = child_flush(&mp.partition, l);
+                        push(2, StepKind::ChildFlush { level: l + 1 }, ex.messages());
+                        mp.child_flush.insert(l + 1, ex);
+                    }
+                    _ => {}
                 }
             }
         }
 
-        // Phase 3 — downward: re-entering the distributed region
+        // Phase 3 — downward. Block: re-entering the distributed region
         // broadcasts the embedded parent level once, then every
         // distributed level runs one wrapped halo exchange (three axis
-        // phases, two CSHIFT ops each on the model's ledger).
-        let l_first = (2..=depth).find(|&l| subgrid_extent(l, &grid).is_some());
+        // phases, two CSHIFT ops each on the model's ledger). Morton: a
+        // parent local-row fetch (l ≥ 3), then the interactive-field
+        // far-row exchange.
         for l in 2..=depth {
-            if subgrid_extent(l, &grid).is_none() {
-                continue;
-            }
-            if Some(l) == l_first && l >= 3 && subgrid_extent(l - 1, &grid).is_none() {
-                push(
-                    &mut phases,
-                    3,
-                    StepKind::Broadcast { level: l - 1 },
-                    p.trailing_zeros() as u64,
-                );
-            }
-            for axis in 0..3 {
-                push(&mut phases, 3, StepKind::BoxHalo { level: l, axis }, 2);
+            match plans.as_mut() {
+                None if distributed(l) => {
+                    if l >= 3 && !distributed(l - 1) {
+                        push(
+                            3,
+                            StepKind::Broadcast { level: l - 1 },
+                            p.trailing_zeros() as u64,
+                        );
+                    }
+                    for axis in 0..3 {
+                        push(3, StepKind::BoxHalo { level: l, axis }, 2);
+                    }
+                }
+                None => {}
+                Some(mp) => {
+                    if l >= 3 {
+                        let ex = parent_fetch(&mp.partition, l);
+                        push(3, StepKind::ParentFetch { level: l }, ex.messages());
+                        mp.parent_fetch.insert(l, ex);
+                    }
+                    let ex = box_halo(&mp.partition, l, sep);
+                    push(3, StepKind::PartBoxHalo { level: l }, ex.messages());
+                    mp.box_halo.insert(l, ex);
+                }
             }
         }
 
-        // Phase 5 — near field. Forces: three particle-halo axis phases.
-        // Potentials: the travelling-accumulator sweep — one unit CSHIFT
-        // per visited half-offset, then per-axis unit return shifts (the
-        // model charges one CSHIFT per visit and one per non-trivial
-        // return axis; extra unit hops of a multi-box return ride free).
+        // Phase 5 — near field. Forces: three particle-halo axis phases
+        // (block) or one planned exchange of the whole clipped halo
+        // (Morton). Potentials: the travelling-accumulator sweep — one
+        // unit hop per visited half-offset, then per-axis unit return
+        // hops. The itinerary is pure geometry, shared by both layouts;
+        // only each hop's price differs. The block model charges one
+        // CSHIFT per visit and one per non-trivial return axis (extra unit
+        // hops of a multi-box return ride free); a Morton hop costs its
+        // route's exact message count.
         if with_fields {
-            for axis in 0..3 {
-                push(&mut phases, 5, StepKind::ParticleHalo { axis }, 2);
+            match plans.as_mut() {
+                None => {
+                    for axis in 0..3 {
+                        push(5, StepKind::ParticleHalo { axis }, 2);
+                    }
+                }
+                Some(mp) => {
+                    mp.particle_halo = particle_halo(&mp.partition, sep);
+                    push(5, StepKind::PartParticleHalo, mp.particle_halo.messages());
+                }
             }
         } else {
             let path = TravelPath::new(sep_d as i32);
-            for s in &path.steps {
-                push(
-                    &mut phases,
-                    5,
-                    StepKind::SlotShift {
-                        axis: s.axis,
-                        // Slot position = origin − cum: positions move
-                        // against the step direction.
-                        delta: -s.dir,
-                        visit: Some(s.cum),
-                    },
-                    1,
-                );
-            }
-            for (axis, &r) in path.returns.iter().enumerate() {
-                if r == 0 {
-                    continue;
-                }
-                for hop in 0..r.unsigned_abs() {
-                    push(
-                        &mut phases,
-                        5,
-                        StepKind::SlotShift {
-                            axis,
-                            delta: -r.signum(),
-                            visit: None,
-                        },
-                        (hop == 0) as u64,
-                    );
-                }
-            }
-        }
-
-        CommProgram {
-            grid,
-            depth,
-            k,
-            sep_d,
-            ghost,
-            with_fields,
-            partition: None,
-            phases,
-        }
-    }
-
-    /// Derive the partitioned schedule of a cost-weighted run: the same
-    /// phase structure as [`CommProgram::build`], but every exchange is a
-    /// precomputed [`Exchange`] plan of the Morton `partition` rather than
-    /// a block-layout collective. Every level stays distributed (no
-    /// Multigrid embedding — coarse ownership follows first-descendant
-    /// leaves instead), and each step's `logical_msgs` is its plan's exact
-    /// machine-wide message count, which is what
-    /// `fmm_machine::communication_budget_with` prices.
-    pub fn build_partitioned(
-        grid: VuGrid,
-        depth: u32,
-        k: usize,
-        sep_d: usize,
-        with_fields: bool,
-        partition: Partition,
-    ) -> Self {
-        assert_eq!(
-            grid.len(),
-            partition.workers(),
-            "partition workers must match the VU grid"
-        );
-        assert_eq!(depth, partition.depth(), "partition depth must match");
-        let p = grid.len();
-        let ghost = 2 * sep_d + 1;
-        let sep = match sep_d {
-            1 => Separation::One,
-            2 => Separation::Two,
-            _ => panic!("unsupported separation d = {sep_d}"),
-        };
-        let mut phases: [Vec<Step>; 6] = Default::default();
-        let mut tag = 0u64;
-        let mut push = |phases: &mut [Vec<Step>; 6], phase: usize, kind, logical_msgs| {
-            phases[phase].push(Step {
-                kind,
-                tag,
-                logical_msgs,
+            // Slot position = origin − cum: positions move against the
+            // step direction.
+            let visits = path
+                .steps
+                .iter()
+                .map(|s| (s.axis, -s.dir, Some(s.cum), true));
+            let returns = path.returns.iter().enumerate().flat_map(|(axis, &r)| {
+                (0..r.unsigned_abs()).map(move |hop| (axis, -r.signum(), None, hop == 0))
             });
-            tag += 1;
-        };
-
-        // Phase 0 — sort: one router operation, as in the uniform build.
-        push(&mut phases, 0, StepKind::Router, (p > 1) as u64);
-
-        // Phase 2 — upward: one child-row flush per computed parent level,
-        // finest first (parents of the leaves down to level 2). Levels 1
-        // and 0 are never consumed by T2/T3 and are skipped, exactly as
-        // the partitioned budget prices it.
-        let mut cf = Vec::new();
-        if depth >= 3 {
-            for l in (2..depth).rev() {
-                let ex = child_flush(&partition, l);
-                push(
-                    &mut phases,
-                    2,
-                    StepKind::ChildFlush { level: l + 1 },
-                    ex.messages(),
-                );
-                cf.push((l + 1, ex));
-            }
-        }
-
-        // Phase 3 — downward: per level, a parent local-row fetch (l ≥ 3)
-        // followed by the interactive-field far-row exchange.
-        let mut pf = Vec::new();
-        let mut bh = Vec::new();
-        for l in 2..=depth {
-            if l >= 3 {
-                let ex = parent_fetch(&partition, l);
-                push(
-                    &mut phases,
-                    3,
-                    StepKind::ParentFetch { level: l },
-                    ex.messages(),
-                );
-                pf.push((l, ex));
-            }
-            let ex = box_halo(&partition, l, sep);
-            push(
-                &mut phases,
-                3,
-                StepKind::PartBoxHalo { level: l },
-                ex.messages(),
-            );
-            bh.push((l, ex));
-        }
-
-        // Phase 5 — near field. Forces: the whole clipped particle halo in
-        // one planned exchange. Potentials: the identical travelling-slot
-        // itinerary as the uniform build — same (axis, delta, visit)
-        // sequence — but each hop routed by ownership, with its route's
-        // exact message count on the ledger (return hops included).
-        let mut ph_ex = Exchange::default();
-        let mut routes: BTreeMap<(usize, i32), Exchange> = BTreeMap::new();
-        if with_fields {
-            let ex = particle_halo(&partition, sep);
-            push(&mut phases, 5, StepKind::PartParticleHalo, ex.messages());
-            ph_ex = ex;
-        } else {
-            let path = TravelPath::new(sep_d as i32);
-            for s in &path.steps {
-                let delta = -s.dir;
-                let msgs = routes
-                    .entry((s.axis, delta))
-                    .or_insert_with(|| slot_route(&partition, s.axis, delta))
-                    .messages();
-                push(
-                    &mut phases,
-                    5,
-                    StepKind::SlotShift {
-                        axis: s.axis,
-                        delta,
-                        visit: Some(s.cum),
-                    },
-                    msgs,
-                );
-            }
-            for (axis, &r) in path.returns.iter().enumerate() {
-                if r == 0 {
-                    continue;
-                }
-                let delta = -r.signum();
-                let msgs = routes
-                    .entry((axis, delta))
-                    .or_insert_with(|| slot_route(&partition, axis, delta))
-                    .messages();
-                for _hop in 0..r.unsigned_abs() {
-                    push(
-                        &mut phases,
-                        5,
-                        StepKind::SlotShift {
-                            axis,
-                            delta,
-                            visit: None,
-                        },
-                        msgs,
-                    );
-                }
+            for (axis, delta, visit, charged) in visits.chain(returns) {
+                let msgs = match plans.as_mut() {
+                    None => charged as u64,
+                    Some(mp) => mp
+                        .slot_routes
+                        .entry((axis, delta))
+                        .or_insert_with(|| slot_route(&mp.partition, axis, delta))
+                        .messages(),
+                };
+                push(5, StepKind::SlotShift { axis, delta, visit }, msgs);
             }
         }
 
@@ -472,26 +360,93 @@ impl CommProgram {
             depth,
             k,
             sep_d,
-            ghost,
+            ghost: 2 * sep_d + 1,
             with_fields,
-            partition: Some(PartitionSchedule {
-                partition,
-                child_flush: cf,
-                parent_fetch: pf,
-                box_halo: bh,
-                particle_halo: ph_ex,
-                slot_routes: routes,
-            }),
+            owner: plans.map_or(Ownership::Block, Ownership::Morton),
             phases,
         }
     }
 
-    /// Does the downward phase halo-exchange level `l` (⇔ the level is
-    /// block-distributed rather than Multigrid-embedded)?
-    pub fn has_box_halo(&self, l: u32) -> bool {
-        self.phases[3]
-            .iter()
-            .any(|s| matches!(s.kind, StepKind::BoxHalo { level, .. } if level == l))
+    /// The exchange plans of a Morton-partitioned program. Panics for the
+    /// block layout, whose step kinds never ask for them.
+    pub fn plans(&self) -> &MortonPlans {
+        match &self.owner {
+            Ownership::Morton(mp) => mp,
+            Ownership::Block => panic!("partitioned step in a block-layout program"),
+        }
+    }
+
+    /// The leaf partition, `None` for the block layout.
+    pub fn partition(&self) -> Option<&Partition> {
+        match &self.owner {
+            Ownership::Morton(mp) => Some(&mp.partition),
+            Ownership::Block => None,
+        }
+    }
+
+    /// The rank owning box `b` of a level the layout distributes: the
+    /// rank a leaf's particles route to, and where a travelling slot in
+    /// that leaf lives.
+    /// Called per particle and per slot hop, so the block case is bit
+    /// arithmetic: the high-order bits of each coordinate name the VU.
+    pub fn owner_of(&self, b: &BoxCoord) -> usize {
+        match &self.owner {
+            Ownership::Block => {
+                let d = self.grid.dims;
+                let vu = |c: u32, a: usize| (c >> (b.level - d[a].trailing_zeros())) as usize;
+                self.grid.rank([vu(b.x, 0), vu(b.y, 1), vu(b.z, 2)])
+            }
+            Ownership::Morton(mp) => mp.partition.owner(b),
+        }
+    }
+
+    /// The rows of level `l` rank `rank` computes, as the `owned` filter
+    /// of [`fmm_core::traversal::Sweep`] (`owned[b]` per row-major box):
+    /// its subgrid (block), its Morton range (Morton), or — on a
+    /// Multigrid-embedded block level — every row on rank 0 and none
+    /// elsewhere. At the leaf level these are the boxes the rank
+    /// evaluates and runs the near field for.
+    pub fn owned_rows(&self, rank: usize, l: u32) -> Vec<bool> {
+        let n = 1usize << l;
+        let mut owned = vec![false; n * n * n];
+        match &self.owner {
+            Ownership::Block if subgrid_extent(l, &self.grid).is_some() => {
+                let lay = BlockLayout::new([n; 3], self.grid);
+                for li in 0..lay.boxes_per_vu() {
+                    owned[cell_index(lay.global_of(rank, li), n)] = true;
+                }
+            }
+            Ownership::Block => owned.fill(rank == 0),
+            // Levels 0 and 1 are never read by T2/T3: nobody computes them.
+            Ownership::Morton(_) if l < 2 => {}
+            Ownership::Morton(mp) => {
+                for code in mp.partition.owned_at(rank, l) {
+                    owned[morton_to_rowmajor(l, code)] = true;
+                }
+            }
+        }
+        owned
+    }
+
+    /// The peers of `rank` for one unit slot hop by `delta` along `axis`:
+    /// `(destinations, sources)`, one message each, sends before
+    /// receives. Block: the ring partners along the axis (none when one
+    /// VU spans it — the wrap is local motion). Morton: the hop's route.
+    pub fn slot_peers(&self, rank: usize, axis: usize, delta: i32) -> (Vec<usize>, Vec<usize>) {
+        match &self.owner {
+            Ownership::Block if self.grid.dims[axis] == 1 => (Vec::new(), Vec::new()),
+            Ownership::Block => {
+                let (dst, src) = ring_partners(&self.grid, rank, axis, delta);
+                (vec![dst], vec![src])
+            }
+            Ownership::Morton(mp) => {
+                let route = &mp.slot_routes[&(axis, delta)];
+                (
+                    route.sends[rank].iter().map(|(d, _)| *d).collect(),
+                    route.recvs[rank].iter().map(|(s, _)| *s).collect(),
+                )
+            }
+        }
     }
 
     /// Total number of steps (= fabric tags burned per rank).
@@ -768,74 +723,40 @@ impl Step {
                 }
             }
             StepKind::SlotShift { axis, delta, .. } => {
-                if let Some(ps) = prog.partition.as_ref() {
-                    // Partitioned hop: route by ownership, not by ring.
-                    exchange_ops(
-                        ps.slot_route_at(axis, delta),
-                        rank,
-                        None,
-                        Payload::Slots,
-                        &mut ops,
-                    );
-                } else if grid.dims[axis] > 1 {
-                    // An axis spanned by one VU wraps onto itself: pure
-                    // local motion, no message (the collective still burns
-                    // its tag).
-                    let (dst, src) = ring_partners(grid, rank, axis, delta);
+                let (dsts, srcs) = prog.slot_peers(rank, axis, delta);
+                for to in dsts {
                     ops.push(Op::Send {
-                        to: dst,
+                        to,
                         words: Volume::Dynamic,
                         payload: Payload::Slots,
                     });
+                }
+                for from in srcs {
                     ops.push(Op::Recv {
-                        from: src,
+                        from,
                         payload: Payload::Slots,
                     });
                 }
             }
             StepKind::ChildFlush { level } => {
-                let ps = part_sched(prog);
-                exchange_ops(
-                    ps.child_flush_at(level),
-                    rank,
-                    Some(k),
-                    Payload::Boxes,
-                    &mut ops,
-                );
+                let ex = &prog.plans().child_flush[&level];
+                exchange_ops(ex, rank, Some(k), Payload::Boxes, &mut ops);
             }
             StepKind::ParentFetch { level } => {
-                let ps = part_sched(prog);
-                exchange_ops(
-                    ps.parent_fetch_at(level),
-                    rank,
-                    Some(k),
-                    Payload::Boxes,
-                    &mut ops,
-                );
+                let ex = &prog.plans().parent_fetch[&level];
+                exchange_ops(ex, rank, Some(k), Payload::Boxes, &mut ops);
             }
             StepKind::PartBoxHalo { level } => {
-                let ps = part_sched(prog);
-                exchange_ops(
-                    ps.box_halo_at(level),
-                    rank,
-                    Some(k),
-                    Payload::Boxes,
-                    &mut ops,
-                );
+                let ex = &prog.plans().box_halo[&level];
+                exchange_ops(ex, rank, Some(k), Payload::Boxes, &mut ops);
             }
             StepKind::PartParticleHalo => {
-                let ps = part_sched(prog);
-                exchange_ops(&ps.particle_halo, rank, None, Payload::Particles, &mut ops);
+                let ex = &prog.plans().particle_halo;
+                exchange_ops(ex, rank, None, Payload::Particles, &mut ops);
             }
         }
         ops
     }
-}
-
-fn part_sched(prog: &CommProgram) -> &PartitionSchedule {
-    prog.partition
-        .as_ref()
-        .expect("partitioned step kinds only appear in partitioned programs")
 }
 
 /// Lower one rank's side of an [`Exchange`]: all sends (destinations
@@ -877,7 +798,7 @@ mod tests {
     fn tags_are_contiguous_and_phase_ordered() {
         for p in [1usize, 2, 8, 128] {
             for depth in 2..=4u32 {
-                let prog = CommProgram::build(vu_grid_for(p), depth, 6, 2, false);
+                let prog = CommProgram::build(vu_grid_for(p), depth, 6, 2, false, None);
                 let tags: Vec<u64> = prog.steps().map(|(_, s)| s.tag).collect();
                 let expect: Vec<u64> = (0..tags.len() as u64).collect();
                 assert_eq!(tags, expect, "p={p} depth={depth}");
@@ -889,7 +810,7 @@ mod tests {
     fn table4_message_totals_match_pr2() {
         // The exact per-phase logical message counts PR 2 asserted at
         // runtime on the Table-4 configuration, now derived statically.
-        let prog = CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, 2, false);
+        let prog = CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, 2, false, None);
         let msgs: Vec<u64> = prog
             .phases
             .iter()
@@ -900,8 +821,8 @@ mod tests {
 
     #[test]
     fn forces_program_swaps_near_phase() {
-        let pot = CommProgram::build(vu_grid_for(8), 3, 6, 2, false);
-        let frc = CommProgram::build(vu_grid_for(8), 3, 6, 2, true);
+        let pot = CommProgram::build(vu_grid_for(8), 3, 6, 2, false, None);
+        let frc = CommProgram::build(vu_grid_for(8), 3, 6, 2, true, None);
         assert!(pot.phases[5].len() > 60);
         assert_eq!(frc.phases[5].len(), 3);
         assert_eq!(pot.phases[..5], frc.phases[..5]);
@@ -926,18 +847,18 @@ mod tests {
         for p in [1usize, 2, 8] {
             for depth in 2..=4u32 {
                 for with_fields in [false, true] {
-                    let prog = CommProgram::build_partitioned(
+                    let prog = CommProgram::build(
                         vu_grid_for(p),
                         depth,
                         6,
                         2,
                         with_fields,
-                        Partition::uniform(depth, p),
+                        Some(Partition::uniform(depth, p)),
                     );
                     let tags: Vec<u64> = prog.steps().map(|(_, s)| s.tag).collect();
                     let expect: Vec<u64> = (0..tags.len() as u64).collect();
                     assert_eq!(tags, expect, "p={p} depth={depth} forces={with_fields}");
-                    assert!(prog.partition.is_some());
+                    assert!(prog.partition().is_some());
                 }
             }
         }
@@ -948,14 +869,14 @@ mod tests {
         // The travelling-slot sweep visits the same (axis, delta, visit)
         // sequence in both builds — the itinerary is pure geometry; only
         // the routing of each hop differs.
-        let uni = CommProgram::build(vu_grid_for(8), 3, 6, 2, false);
-        let par = CommProgram::build_partitioned(
+        let uni = CommProgram::build(vu_grid_for(8), 3, 6, 2, false, None);
+        let par = CommProgram::build(
             vu_grid_for(8),
             3,
             6,
             2,
             false,
-            Partition::uniform(3, 8),
+            Some(Partition::uniform(3, 8)),
         );
         let kinds = |prog: &CommProgram| -> Vec<StepKind> {
             prog.phases[5].iter().map(|s| s.kind).collect()
@@ -968,28 +889,28 @@ mod tests {
         // p = 1 owns everything: every exchange is empty and every step's
         // logical message count is zero, like the uniform p = 1 program.
         for with_fields in [false, true] {
-            let prog = CommProgram::build_partitioned(
+            let prog = CommProgram::build(
                 vu_grid_for(1),
                 3,
                 6,
                 2,
                 with_fields,
-                Partition::uniform(3, 1),
+                Some(Partition::uniform(3, 1)),
             );
             for (_, s) in prog.steps() {
                 assert_eq!(s.logical_msgs, 0, "step {s:?}");
             }
-            let ps = prog.partition.as_ref().unwrap();
-            assert!(ps.particle_halo.is_empty() || !with_fields);
-            for (_, ex) in ps
+            let mp = prog.plans();
+            assert!(mp.particle_halo.is_empty() || !with_fields);
+            for ex in mp
                 .child_flush
-                .iter()
-                .chain(&ps.parent_fetch)
-                .chain(&ps.box_halo)
+                .values()
+                .chain(mp.parent_fetch.values())
+                .chain(mp.box_halo.values())
             {
                 assert!(ex.is_empty());
             }
-            for ex in ps.slot_routes.values() {
+            for ex in mp.slot_routes.values() {
                 assert!(ex.is_empty());
             }
         }

@@ -2,12 +2,12 @@
 //! `fmm-worker` OS processes over a UNIX-socket (and TCP) rendezvous
 //! must reproduce the in-process run bit for bit — potentials, forces,
 //! counters — and the launcher's counters must stay byte-exact against
-//! `communication_budget_with` exactly as the in-process model test
+//! `communication_budget` exactly as the in-process model test
 //! demands.
 
 use fmm_core::{Balance, Executor, Fmm, FmmConfig};
 use fmm_machine::{
-    communication_budget_with, predicted_bytes, predicted_messages, ProgramConfig, VuGrid,
+    communication_budget, predicted_bytes, predicted_messages, ProgramConfig, VuGrid,
 };
 use fmm_spmd::{evaluate_distributed, FabricAddr, LaunchConfig, Partition};
 use std::path::PathBuf;
@@ -89,7 +89,7 @@ fn four_processes_over_unix_sockets_match_in_process_bitwise() {
     // The launcher's counters byte-exact against the machine model on
     // the deterministic phases (upward gather, downward halo+broadcast).
     let report = remote.spmd.as_ref().unwrap();
-    let budget = communication_budget_with(
+    let budget = communication_budget(
         &ProgramConfig {
             depth: DEPTH,
             k: f.k(),
@@ -150,7 +150,7 @@ fn cost_weighted_processes_reproduce_the_partitioned_run() {
     let report = remote.spmd.as_ref().unwrap();
     let splits = report.partition.clone().expect("partitioned report");
     let part = Partition::from_splits(DEPTH, splits);
-    let budget = communication_budget_with(
+    let budget = communication_budget(
         &ProgramConfig {
             depth: DEPTH,
             k: f.k(),

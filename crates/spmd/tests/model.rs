@@ -7,8 +7,8 @@
 
 use fmm_core::{Balance, Executor, Fmm, FmmConfig, SpmdReport};
 use fmm_machine::{
-    check_phases, communication_budget, communication_budget_with, predicted_bytes,
-    predicted_messages, MeasuredPhase, ProgramConfig, VuGrid, DEFAULT_TOLERANCE,
+    check_phases, communication_budget, predicted_bytes, predicted_messages, MeasuredPhase,
+    ProgramConfig, VuGrid, DEFAULT_TOLERANCE,
 };
 use fmm_spmd::Partition;
 
@@ -46,16 +46,19 @@ fn table4_motion_matches_the_model_within_10_percent() {
 
     // A uniformly random system starts block-distributed by particle
     // index, so all but ~1/p of the particles sort off-VU.
-    let budget = communication_budget(&ProgramConfig {
-        depth: DEPTH,
-        k,
-        m: fmm.config().m_trunc,
-        particles_per_box: N as f64 / 8f64.powi(DEPTH as i32),
-        vu_grid: VuGrid::new([8, 4, 4]),
-        supernodes: false,
-        sort_miss_fraction: 1.0 - 1.0 / WORKERS as f64,
-        forces_near: false,
-    });
+    let budget = communication_budget(
+        &ProgramConfig {
+            depth: DEPTH,
+            k,
+            m: fmm.config().m_trunc,
+            particles_per_box: N as f64 / 8f64.powi(DEPTH as i32),
+            vu_grid: VuGrid::new([8, 4, 4]),
+            supernodes: false,
+            sort_miss_fraction: 1.0 - 1.0 / WORKERS as f64,
+            forces_near: false,
+        },
+        None,
+    );
     assert_eq!(budget.phases.len(), SpmdReport::PHASE_NAMES.len());
     assert_eq!(budget.config_k, k);
     for (phase, name) in budget.phases.iter().zip(SpmdReport::PHASE_NAMES) {
@@ -138,7 +141,7 @@ fn assert_partitioned_budget_exact(with_fields: bool) {
         "clustered input must produce non-uniform cuts, got {splits:?}"
     );
     let part = Partition::from_splits(DEPTH3, splits);
-    let budget = communication_budget_with(
+    let budget = communication_budget(
         &ProgramConfig {
             depth: DEPTH3,
             k,

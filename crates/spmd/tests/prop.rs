@@ -7,7 +7,8 @@ use std::collections::BTreeMap;
 use fmm_core::{Balance, Executor, Fmm, FmmConfig};
 use fmm_machine::BlockLayout;
 use fmm_spmd::collectives::{all_to_allv, shift_slots, CellParticles, Slot};
-use fmm_spmd::{run_workers, vu_grid_for, Partition};
+use fmm_spmd::{run_workers, vu_grid_for, CommProgram, Partition};
+use fmm_tree::BoxCoord;
 use proptest::prelude::*;
 
 fn system(lo: usize, hi: usize) -> impl Strategy<Value = (Vec<[f64; 3]>, Vec<f64>)> {
@@ -124,23 +125,31 @@ proptest! {
         prop_assert_eq!(covered, leaves, "exact cover");
     }
 
-    /// A unit CSHIFT of the travelling slots followed by its inverse puts
-    /// every slot back where it started, bit for bit.
+    /// A unit shift of the travelling slots followed by its inverse puts
+    /// every slot back where it started, bit for bit — over the block
+    /// layout's CSHIFT ring and over an arbitrary Morton partition's
+    /// routes alike.
     #[test]
     fn cshift_forward_back_is_identity(axis in 0usize..3,
                                        log_p in 0u32..4,
-                                       seed in 0u64..1 << 60) {
+                                       seed in 0u64..1 << 60,
+                                       morton in 0u32..2) {
         let p = 1usize << log_p;
         let grid = vu_grid_for(p);
         let n = 4usize; // depth-2 leaf grid
+        let partition = (morton == 1).then(|| {
+            let mut cuts: Vec<u64> = (1..p).map(|r| mix(seed ^ r as u64) % 65).collect();
+            cuts.sort_unstable();
+            Partition::from_splits(2, [0].into_iter().chain(cuts).chain([64]).collect())
+        });
+        let prog = CommProgram::build(grid, 2, 1, 2, false, partition);
         let all: Vec<Vec<u64>> = run_workers(grid, |mut ctx| {
-            let lay = BlockLayout::new([n; 3], ctx.grid);
             let mut slots: BTreeMap<usize, Slot> = (0..n * n * n)
-                .filter(|&b| lay.vu_of([b % n, (b / n) % n, b / (n * n)]) == ctx.rank)
+                .filter(|&b| prog.owner_of(&BoxCoord::from_index(2, b)) == ctx.rank)
                 .map(|b| (b, slot_for(b, seed)))
                 .collect();
-            shift_slots(&mut ctx, &mut slots, axis, 1, &lay, n);
-            shift_slots(&mut ctx, &mut slots, axis, -1, &lay, n);
+            shift_slots(&mut ctx, &mut slots, axis, 1, &prog);
+            shift_slots(&mut ctx, &mut slots, axis, -1, &prog);
             slots.iter().flat_map(|(&pos, s)| flatten(pos, s)).collect::<Vec<u64>>()
         });
         let mut merged: Vec<u64> = all.into_iter().flatten().collect();

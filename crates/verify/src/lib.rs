@@ -155,7 +155,7 @@ fn list<T: std::fmt::Display>(errs: &[T], cap: usize) -> String {
 /// Build the `CommProgram` a `CheckConfig` describes — the same program
 /// `run_checks` verifies and `preflight_budget` prices.
 pub fn build_check_program(cfg: &CheckConfig) -> CommProgram {
-    if cfg.balance {
+    let partition = if cfg.balance {
         // A data-dependent layout: cut the Morton curve for a synthetic
         // heavy-tailed leaf-cost profile (deterministic LCG; a few leaves
         // dominate, as a clustered distribution's do), then check the
@@ -175,24 +175,18 @@ pub fn build_check_program(cfg: &CheckConfig) -> CommProgram {
                 }
             })
             .collect();
-        let part = Partition::cost_weighted(cfg.depth, cfg.grid.len(), &costs);
-        CommProgram::build_partitioned(
-            cfg.grid,
-            cfg.depth,
-            k_for_order(cfg.order),
-            cfg.sep_d,
-            cfg.with_fields,
-            part,
-        )
+        Some(Partition::cost_weighted(cfg.depth, cfg.grid.len(), &costs))
     } else {
-        CommProgram::build(
-            cfg.grid,
-            cfg.depth,
-            k_for_order(cfg.order),
-            cfg.sep_d,
-            cfg.with_fields,
-        )
-    }
+        None
+    };
+    CommProgram::build(
+        cfg.grid,
+        cfg.depth,
+        k_for_order(cfg.order),
+        cfg.sep_d,
+        cfg.with_fields,
+        partition,
+    )
 }
 
 /// Price the program `cfg` describes for the launcher's pre-flight gate:

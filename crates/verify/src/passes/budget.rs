@@ -20,8 +20,7 @@
 //! checked on message counts alone.
 
 use fmm_machine::{
-    check_phases, communication_budget_with, BudgetMismatch, MeasuredPhase, ProgramBudget,
-    ProgramConfig,
+    check_phases, communication_budget, BudgetMismatch, MeasuredPhase, ProgramBudget, ProgramConfig,
 };
 use fmm_spmd::schedule::{Op, Volume};
 
@@ -78,7 +77,7 @@ pub fn budget_for(low: &Lowered, m: usize, particles_per_box: f64) -> ProgramBud
     let p = prog.grid.len();
     // A partitioned program is priced from its own exchange plans — the
     // single source of truth the schedule was derived from.
-    communication_budget_with(
+    communication_budget(
         &ProgramConfig {
             depth: prog.depth,
             k: prog.k,
@@ -89,7 +88,7 @@ pub fn budget_for(low: &Lowered, m: usize, particles_per_box: f64) -> ProgramBud
             sort_miss_fraction: 1.0 - 1.0 / p as f64,
             forces_near: prog.with_fields,
         },
-        prog.partition.as_ref().map(|ps| &ps.partition),
+        prog.partition(),
     )
 }
 

@@ -8,7 +8,7 @@ use fmm_verify::passes::{budget, deadlock, endpoints};
 use fmm_verify::{apply_mutation, lower, run_checks, CheckConfig, Mutation};
 
 fn table4_program() -> CommProgram {
-    CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, 2, false)
+    CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, 2, false, None)
 }
 
 #[test]
@@ -20,7 +20,7 @@ fn structural_passes_clean_across_machine_shapes() {
                 continue; // grid does not fit the leaf level
             }
             for forces in [false, true] {
-                let prog = CommProgram::build(grid, depth, 6, 2, forces);
+                let prog = CommProgram::build(grid, depth, 6, 2, forces, None);
                 let low = lower(&prog);
                 let e = endpoints::check(&low)
                     .unwrap_or_else(|errs| panic!("p={p} depth={depth}: {errs:?}"));
@@ -41,7 +41,7 @@ fn structural_passes_clean_across_machine_shapes() {
 fn budget_pass_clean_and_byte_exact_where_static() {
     for p in [1usize, 2, 4, 8, 16, 128] {
         let depth = if p == 128 { 4 } else { 3 };
-        let prog = CommProgram::build(vu_grid_for(p), depth, 6, 2, false);
+        let prog = CommProgram::build(vu_grid_for(p), depth, 6, 2, false, None);
         let low = lower(&prog);
         let s = budget::check(&low, 2).unwrap_or_else(|errs| panic!("p={p}: {errs:?}"));
         // Any phase with a statically known, nonzero byte total must be

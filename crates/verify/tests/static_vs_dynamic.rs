@@ -50,7 +50,7 @@ proptest! {
 
         let grid = vu_grid_for(p);
         prop_assert_eq!(grid.dims, report.vu_dims);
-        let program = CommProgram::build(grid, depth, fmm.k(), 2, forces);
+        let program = CommProgram::build(grid, depth, fmm.k(), 2, forces, None);
         let stat = static_phases(&lower(&program));
 
         for (i, (s, d)) in stat.iter().zip(&report.phases).enumerate() {
